@@ -1,12 +1,12 @@
 """Spans overhead benchmark: off must cost ~nothing, on must stay cheap.
 
-The spans subsystem's acceptance bars mirror telemetry's:
+The spans subsystem's acceptance bars:
 
 * **zero-cost when off** — with ``spans=None`` every hook site in the
   request path is one attribute load + ``is not None`` test; the
   off/baseline wall-time ratio should sit within run-to-run noise of
-  1.0 (as with telemetry, the off path *is* the baseline — the checks
-  cannot be compiled out);
+  1.0 (the off path *is* the baseline — the checks cannot be compiled
+  out);
 * **cheap when on** — recording full causal span trees must keep
   paper-scale ESCAT overhead at or below 10% (x1.10).  Three design
   decisions carry this bar: ``op.*`` root spans are never recorded

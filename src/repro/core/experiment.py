@@ -268,7 +268,7 @@ class Experiment:
             self._append_resilience(injector, traces)
             if telemetry is not None:
                 profiler.stop("simulate")
-                telemetry.finalize()
+                telemetry.finalize(traces.values())
             if recorder is not None:
                 recorder.seal(traces)
             return ExperimentResult(
@@ -304,7 +304,7 @@ class Experiment:
         self._append_resilience(injector, traces)
         if telemetry is not None:
             profiler.stop("simulate")
-            telemetry.finalize()
+            telemetry.finalize(traces.values())
         if recorder is not None:
             recorder.seal(traces)
         return ExperimentResult(

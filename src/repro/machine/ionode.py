@@ -112,6 +112,10 @@ class IONode:
         self.busy_time = 0.0
         self.requests_served = 0
         self.bytes_served = 0
+        #: Served data requests per log2 size bucket: bucket ``i`` counts
+        #: sizes in ``[2**(i-1), 2**i)``, bucket 0 empty requests (the
+        #: telemetry ``ionode.request_bytes`` histogram's fixed edges).
+        self.size_buckets = [0] * 64
         # -- fault state (repro.faults); _faulty gates it all ----------------
         self._faulty = False
         self._up = True
@@ -124,8 +128,6 @@ class IONode:
         self.downtime = 0.0
         self.dropped_requests = 0
         self.failed_requests = 0
-        # Telemetry request-size hook (a bound Histogram.observe); None = off.
-        self._telem = None
         # Span recorder handle (repro.spans); None = off.
         self._spans = None
 
@@ -272,9 +274,7 @@ class IONode:
             )
             self.requests_served += 1
             self.bytes_served += nbytes
-            observe = self._telem
-            if observe is not None:
-                observe(nbytes)
+            self.size_buckets[int(nbytes).bit_length()] += 1
         self.busy_time += service
         open_ = self._eager_open
         end = (self._free_at if open_ else env.now) + service
@@ -347,10 +347,9 @@ class IONode:
         ) + self.array.service_batch(offsets, sizes, is_write)
         self.requests_served += n
         self.bytes_served += int(sizes.sum())
-        observe = self._telem
-        if observe is not None:
-            for nb in sizes.tolist():
-                observe(nb)
+        buckets = self.size_buckets
+        for nb in sizes.tolist():
+            buckets[nb.bit_length()] += 1
         open_ = self._eager_open
         # Sequential fold, not cumsum: float addition grouping must match
         # the scalar one-at-a-time chain exactly.
@@ -603,9 +602,7 @@ class IONode:
             )
             self.requests_served += 1
             self.bytes_served += req.nbytes
-            observe = self._telem
-            if observe is not None:
-                observe(req.nbytes)
+            self.size_buckets[int(req.nbytes).bit_length()] += 1
         self.busy_time += service
         if spans is not None:
             now = self.env.now

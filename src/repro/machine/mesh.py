@@ -66,9 +66,10 @@ class Mesh:
         # (src, dst, nbytes) triples repeat constantly under striped I/O.
         self._hops: dict[tuple[int, int], int] = {}
         self._msg_memo: dict[tuple[int, int, int], float] = {}
-        #: Telemetry live counters (repro.telemetry); None = disabled, and
-        #: the hook then costs one attribute check per message.
-        self.telem = None
+        #: Point-to-point messages priced and their payload bytes (every
+        #: call counts: a memo hit is still one message on the wire).
+        self.messages = 0
+        self.message_bytes = 0
 
     # -- geometry --------------------------------------------------------
     def coords(self, node: int) -> tuple[int, int]:
@@ -113,12 +114,8 @@ class Mesh:
             if len(memo) >= 1048576:
                 memo.clear()
             memo[key] = t
-        telem = self.telem
-        if telem is not None:
-            # Count every call, not every computation: a memo hit is still
-            # one message on the wire.
-            telem.mesh_msgs += 1
-            telem.mesh_bytes += nbytes
+        self.messages += 1
+        self.message_bytes += nbytes
         return t
 
     def broadcast_time(self, root: int, n_nodes: int, nbytes: int) -> float:

@@ -128,9 +128,6 @@ class PFS:
         self.env: Environment = machine.env
         self.costs = costs or CostModel()
         self.track_content = track_content
-        #: Telemetry live counters (repro.telemetry); None = disabled, and
-        #: every hook below then costs one attribute check per operation.
-        self.telemetry = None
         #: Span recorder (repro.spans); None = off, and the data path then
         #: costs one attribute check per request.
         self.spans = None
@@ -386,9 +383,6 @@ class PFS:
         fd = self._next_fd.get(node, 3)
         self._next_fd[node] = fd + 1
         table[fd] = _OpenFile(file=f)
-        telem = self.telemetry
-        if telem is not None:
-            telem.opens += 1
         return fd
 
     def close(self, node: int, fd: int):
@@ -589,10 +583,6 @@ class PFS:
                 yield from self._transfer(node, f, offset, count, is_write=False)
             f.advance(entry, count)
         entry.last_op_offset = offset
-        telem = self.telemetry
-        if telem is not None:
-            telem.reads += 1
-            telem.read_bytes += count
         if data_out:
             return count, f.read_content(offset, count) if f.track_content else b""
         return count
@@ -639,10 +629,6 @@ class PFS:
         f = entry.file
         f.check_record(nbytes)
         c = self.costs
-        telem = self.telemetry
-        if telem is not None:
-            telem.writes += 1
-            telem.write_bytes += nbytes
         yield self.env.timeout(c.client_op_overhead_s)
         entry.rbuf_start = entry.rbuf_end = -1  # writes invalidate read buffer
 
@@ -768,9 +754,6 @@ class PFS:
             raise PFSError(f"bad whence {whence}")
         if target < 0:
             raise PFSError(f"seek to negative offset {target}")
-        telem = self.telemetry
-        if telem is not None:
-            telem.seeks += 1
         if entry.wbuf_len:
             yield from self._flush_write_buffer(node, entry)
         entry.rbuf_start = entry.rbuf_end = -1
@@ -872,10 +855,6 @@ class PFS:
         offset = f.tell(entry)
         count = f.readable_bytes(offset, nbytes)
         f.advance(entry, count)  # pointer advances at issue time (NX semantics)
-        telem = self.telemetry
-        if telem is not None:
-            telem.areads += 1
-            telem.read_bytes += count
         yield self.env.timeout(self.costs.aread_issue_s)
         done = Event(self.env)
         handle = AreadHandle(done, count, f.file_id, offset, self.env.now)

@@ -157,7 +157,6 @@ def retrying_fanout(fs, domain, node: int, f, offset: int, nbytes: int, is_write
     policy = domain.policy
     recorder = domain.recorder
     rng = domain.backoff_rng
-    telem = getattr(fs, "telemetry", None)
     file_id = f.file_id
     chunks = f.layout.decompose(offset, nbytes)
     done = Event(env)
@@ -252,8 +251,6 @@ def retrying_fanout(fs, domain, node: int, f, offset: int, nbytes: int, is_write
             if fired[0]:
                 return
             fired[0] = True
-            if telem is not None:
-                telem.retries += 1
             if recorder is not None:
                 recorder.retry(
                     env.now, node, file_id, chunk.disk_offset, chunk.nbytes,

@@ -57,6 +57,8 @@ class PPFS(PFS):
         else:
             self.prefetcher = NoPrefetcher()
         self._prefetch_on = not isinstance(self.prefetcher, NoPrefetcher)
+        #: Prefetch fan-outs issued whose data has not arrived yet.
+        self.prefetch_inflight = 0
         if pol.server_cache_blocks == 0:
             # No second-level caches: skip the per-call disabled check in
             # the PPFS override and dispatch straight to the base fan-out.
@@ -331,9 +333,7 @@ class PPFS(PFS):
         env = self.env
         file_id = f.file_id
         copy_s = length * self.costs.client_byte_cost_s
-        telem = self.telemetry
-        if telem is not None:
-            telem.prefetch_inflight += 1
+        self.prefetch_inflight += 1
         spans = self.spans
         if spans is not None:
             # Root span: the staged fetch outlives the read op that
@@ -349,8 +349,7 @@ class PPFS(PFS):
                 spans.store.finish(psid, env.now)
 
         def _fetched(_ev):
-            if telem is not None:
-                telem.prefetch_inflight -= 1
+            self.prefetch_inflight -= 1
             if not _ev._ok:
                 if psid >= 0:
                     spans.store.finish(psid, env.now)

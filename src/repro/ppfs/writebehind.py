@@ -14,9 +14,9 @@ All buffered data is durable by the time :meth:`drain_file` (called from
 close) returns — write caching here increases achieved bandwidth, it
 does not reduce the volume reaching disk (§8).
 
-The flusher is allocation-lean: one submission pass pushes every chunk
-of every drainable run straight onto the I/O-node queues via
-:meth:`~repro.machine.ionode.IONode.submit`, and a single shared
+The flusher is allocation-lean: one submission pass hands each I/O
+node its share of every drainable run via
+:meth:`~repro.machine.ionode.IONode.submit_batch`, and a single shared
 countdown completes the batch — no per-run flush Process, no per-chunk
 serve generator.  ``ExtentSet.max_run_bytes`` lets :meth:`submit` skip
 the drain scan entirely when no pending run can qualify yet, which is
@@ -119,11 +119,14 @@ class WriteBehindManager:
     def _start_runs(self, f: PFSFile, runs: list[tuple[int, int]]) -> None:
         """Launch one file's drainable runs as background transfers.
 
-        One pass submits every stripe chunk of every run directly to its
-        I/O-node queue; a shared countdown over the chunk-completion
-        events tracks the whole batch until it is durable.  Each run
-        still counts as one logical transfer for the aggregation
-        statistics.
+        Every chunk of every run arrives at this same instant, so each
+        I/O node's share is one FIFO cohort: decompose all runs in one
+        vectorized pass, stable-sort the chunk table by node (preserving
+        per-node arrival order), and hand each node's slice to
+        :meth:`~repro.machine.ionode.IONode.submit_batch`, which prices
+        it in one sweep or falls back to per-request submits when the
+        node is not eager.  Each run still counts as one logical
+        transfer for the aggregation statistics.
         """
         if not runs:
             return
@@ -132,86 +135,58 @@ class WriteBehindManager:
             return
         fs = self.fs
         ionodes = fs.machine.ionodes
-        decompose = f.layout.decompose
-        chunk_extra = fs._chunk_extra
         self.transfers_issued += len(runs)
+        starts = np.fromiter((r[0] for r in runs), np.int64, len(runs))
+        ends = np.fromiter((r[1] for r in runs), np.int64, len(runs))
+        run_sizes = ends - starts
+        self.bytes_flushed += int(run_sizes.sum())
+        fsid = self._flush_span(runs)
+        _, chunks = f.layout.decompose_batch(starts, run_sizes)
+        chunks = chunks[np.argsort(chunks["ionode"], kind="stable")]
+        node_ids = chunks["ionode"]
+        bounds = [0, *(np.flatnonzero(node_ids[1:] != node_ids[:-1]) + 1), len(chunks)]
+        per_byte = fs.costs.write_chunk_extra_per_byte_s
+        node_done = self._batch_done(len(bounds) - 1, fsid)
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            group = chunks[b0:b1]
+            sizes = group["nbytes"]
+            ionodes[int(node_ids[b0])].submit_batch(
+                group["disk_offset"], sizes, True, sizes * per_byte, fsid
+            ).callbacks.append(node_done)
+
+    def _flush_span(self, runs: list[tuple[int, int]]) -> int:
+        """Open the batch's root ``wb.flush`` span (-1 with spans off):
+        the flush runs off every application thread's critical path, so
+        it cannot nest under any op span."""
         spans = self.spans
-        if spans is not None:
-            # Root span: the flush runs off every application thread's
-            # critical path, so it cannot nest under any op span.
-            fsid = spans.store.begin(
-                "wb.flush", -1, self.env.now,
-                nbytes=sum(end - start for start, end in runs),
-                aux=float(len(runs)),
-            )
-        else:
-            fsid = -1
-        if all(ion._eager for ion in ionodes):
-            # Columnar cohort path: every chunk of every run arrives at
-            # this same instant, so each I/O node's share is one FIFO
-            # cohort.  Decompose all runs in one vectorized pass, stable-
-            # sort the chunk table by node (preserving per-node arrival
-            # order), and price each node's slice in a single vectorized
-            # submission.  Completion times are bit-identical to
-            # per-chunk submits; the countdown runs over nodes instead of
-            # chunks.
-            starts = np.fromiter((r[0] for r in runs), np.int64, len(runs))
-            ends = np.fromiter((r[1] for r in runs), np.int64, len(runs))
-            run_sizes = ends - starts
-            self.bytes_flushed += int(run_sizes.sum())
-            _, chunks = f.layout.decompose_batch(starts, run_sizes)
-            chunks = chunks[np.argsort(chunks["ionode"], kind="stable")]
-            node_ids = chunks["ionode"]
-            bounds = [0, *(np.flatnonzero(node_ids[1:] != node_ids[:-1]) + 1), len(chunks)]
-            per_byte = fs.costs.write_chunk_extra_per_byte_s
-            token = object()
-            self._inflight.add(token)
-            remaining = [len(bounds) - 1]
+        if spans is None:
+            return -1
+        return spans.store.begin(
+            "wb.flush", -1, self.env.now,
+            nbytes=sum(end - start for start, end in runs),
+            aux=float(len(runs)),
+        )
 
-            def _node_done(_ev):
-                remaining[0] -= 1
-                if not remaining[0]:
-                    if fsid >= 0:
-                        spans.store.finish(fsid, self.env.now)
-                    self._inflight.discard(token)
-                    if not self._inflight and self._idle_event is not None:
-                        self._idle_event.succeed()
-                        self._idle_event = None
-
-            for b0, b1 in zip(bounds[:-1], bounds[1:]):
-                group = chunks[b0:b1]
-                sizes = group["nbytes"]
-                ionodes[int(node_ids[b0])].submit_batch(
-                    group["disk_offset"], sizes, True, sizes * per_byte, fsid
-                ).callbacks.append(_node_done)
-            return
-        chunk_events: list[Event] = []
-        for start, end in runs:
-            nbytes = end - start
-            self.bytes_flushed += nbytes
-            for chunk in decompose(start, nbytes):
-                extra = chunk_extra(chunk.nbytes, is_write=True)
-                chunk_events.append(
-                    ionodes[chunk.ionode].submit(
-                        chunk.disk_offset, chunk.nbytes, True, extra, fsid
-                    )
-                )
+    def _batch_done(self, n: int, fsid: int):
+        """Register one in-flight flush batch; the returned callback
+        completes it (closing its span and waking idle waiters) on its
+        ``n``-th call."""
         token = object()
         self._inflight.add(token)
-        remaining = [len(chunk_events)]
+        remaining = n
 
-        def _chunk_done(_ev):
-            remaining[0] -= 1
-            if not remaining[0]:
+        def done(_ev=None) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if not remaining:
                 if fsid >= 0:
-                    spans.store.finish(fsid, self.env.now)
+                    self.spans.store.finish(fsid, self.env.now)
                 self._inflight.discard(token)
                 if not self._inflight and self._idle_event is not None:
                     self._idle_event.succeed()
                     self._idle_event = None
 
-        for ev in chunk_events:
-            ev.callbacks.append(_chunk_done)
+        return done
 
     def _start_runs_retrying(self, f: PFSFile, runs: list[tuple[int, int]]) -> None:
         """Fault-path variant of :meth:`_start_runs`.
@@ -243,28 +218,9 @@ class WriteBehindManager:
                     chunk.ionode, chunk.disk_offset, chunk.nbytes,
                     fs._chunk_extra(chunk.nbytes, is_write=True),
                 ))
+        fsid = self._flush_span(runs)
         spans = self.spans
-        if spans is not None:
-            fsid = spans.store.begin(
-                "wb.flush", -1, env.now,
-                nbytes=sum(end - start for start, end in runs),
-                aux=float(len(runs)),
-            )
-        else:
-            fsid = -1
-        token = object()
-        self._inflight.add(token)
-        remaining = [len(specs)]
-
-        def _settle() -> None:
-            remaining[0] -= 1
-            if not remaining[0]:
-                if fsid >= 0:
-                    spans.store.finish(fsid, env.now)
-                self._inflight.discard(token)
-                if not self._inflight and self._idle_event is not None:
-                    self._idle_event.succeed()
-                    self._idle_event = None
+        settle = self._batch_done(len(specs), fsid)
 
         def _launch(spec, attempt: int, prev_delay: float) -> None:
             ion = ionodes[spec[0]]
@@ -274,13 +230,13 @@ class WriteBehindManager:
 
         def _finish(ev, spec, ion, attempt: int, prev_delay: float) -> None:
             if ev._ok:
-                _settle()
+                settle()
                 return
             exc = ev._value
             if not isinstance(exc, TransientIOError):
                 if self._fatal is None:
                     self._fatal = exc
-                _settle()
+                settle()
                 return
             if attempt >= policy.max_attempts:
                 if self._fatal is None:
@@ -288,7 +244,7 @@ class WriteBehindManager:
                         f"flush chunk (ionode {spec[0]}, offset {spec[1]}, "
                         f"{spec[2]} B) failed {attempt} attempts; last: {exc}"
                     )
-                _settle()
+                settle()
                 return
             delay = backoff_delay(policy, attempt, prev_delay, rng)
             failed_at = env.now
@@ -298,9 +254,6 @@ class WriteBehindManager:
                 if fired[0]:
                     return
                 fired[0] = True
-                telem = fs.telemetry
-                if telem is not None:
-                    telem.retries += 1
                 if recorder is not None:
                     recorder.retry(
                         env.now, ion.index, file_id, spec[1], spec[2],

@@ -28,7 +28,7 @@ is drained) and then solves the whole phase in one pass:
   :meth:`Mesh.message_time`, and :meth:`Raid3Array.service_time` (whose
   head-state mutation doubles as state absorption);
 * the pass emits the same per-op trace rows and bumps the same
-  filesystem / I/O-node / telemetry counters the discrete path would,
+  filesystem / I/O-node statistics the discrete path would,
   then arms **one** :meth:`Environment.schedule_at` completion per plan
   instead of thousands of per-request events.
 
@@ -332,7 +332,6 @@ class FluidServicer:
         write_extra = c.write_chunk_extra_per_byte_s
         wbuf_max = c.write_buffer_bytes
         op_read, op_write, op_seek, op_flush = Op.READ, Op.WRITE, Op.SEEK, Op.FLUSH
-        telem = fs.telemetry
         now = env.now
 
         free = [ion._free_at for ion in ionodes]
@@ -388,9 +387,6 @@ class FluidServicer:
                     entry = op[2]
                     nbytes = op[3]
                     t0 = t
-                    if telem is not None:
-                        telem.writes += 1
-                        telem.write_bytes += nbytes
                     t += op_overhead
                     entry.rbuf_start = entry.rbuf_end = -1
                     offset = f.tell(entry)
@@ -425,9 +421,7 @@ class FluidServicer:
                         ion.requests_served += 1
                         ion.bytes_served += cn
                         ion.busy_time += service
-                        observe = ion._telem
-                        if observe is not None:
-                            observe(cn)
+                        ion.size_buckets[int(cn).bit_length()] += 1
                         if end > op_end:
                             op_end = end
                     t = op_end + nbytes * byte_cost
@@ -469,17 +463,12 @@ class FluidServicer:
                             ion.requests_served += 1
                             ion.bytes_served += cn
                             ion.busy_time += service
-                            observe = ion._telem
-                            if observe is not None:
-                                observe(cn)
+                            ion.size_buckets[int(cn).bit_length()] += 1
                             if end > op_end:
                                 op_end = end
                         t = op_end + count * byte_cost
                     f.advance(entry, count)
                     entry.last_op_offset = offset
-                    if telem is not None:
-                        telem.reads += 1
-                        telem.read_bytes += count
                     dur = t - t0
                     trace_add(t0, node, op_read, f.file_id, offset, count, dur)
                     for obs in observers:
@@ -490,8 +479,6 @@ class FluidServicer:
                     entry = op[2]
                     target = op[3]
                     t0 = t
-                    if telem is not None:
-                        telem.seeks += 1
                     before = f.tell(entry)
                     entry.rbuf_start = entry.rbuf_end = -1
                     t += op_overhead

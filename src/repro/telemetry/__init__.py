@@ -9,9 +9,11 @@ RAID health, mesh traffic, cache occupancy, write-behind backlog,
 prefetch in-flight) into a columnar time series, a wall-clock
 self-profiler, and JSONL/CSV/Prometheus exporters.
 
-Telemetry is strictly opt-in: every hook hides behind a single
-``telemetry=None`` attribute check, and enabling it perturbs nothing the
-application can observe — traces stay byte-identical either way.
+Telemetry is strictly opt-in and pull-only: it installs nothing into
+the simulator.  ``pfs.*`` counters are derived from the Pablo traces at
+finalize, everything else is read from statistics the components keep
+anyway, so enabling it perturbs nothing the application can observe —
+traces stay byte-identical either way.
 
     from repro import paper_experiment
     from repro.telemetry import Telemetry
@@ -32,7 +34,7 @@ from .export import (
 from .profiler import RunProfiler
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, NBUCKETS
 from .report import chartable_columns, render_chart, render_report
-from .runtime import DEFAULT_CADENCE_S, LiveCounters, Telemetry
+from .runtime import DEFAULT_CADENCE_S, Telemetry
 from .sampler import Sampler
 from .series import TimeSeries
 
@@ -45,7 +47,6 @@ __all__ = [
     "TimeSeries",
     "Sampler",
     "RunProfiler",
-    "LiveCounters",
     "Telemetry",
     "DEFAULT_CADENCE_S",
     "to_jsonl",

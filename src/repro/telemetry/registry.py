@@ -1,8 +1,8 @@
 """Labeled metric primitives: counters, gauges, log2-bucket histograms.
 
-The registry is the *aggregate* side of telemetry: hot paths increment
-plain attributes (see :mod:`repro.telemetry.runtime`), and at sampling /
-finalize time those raw values are folded into named, labeled metrics
+The registry is the *aggregate* side of telemetry: at finalize time
+the trace-derived counts and the components' own statistics (see
+:mod:`repro.telemetry.runtime`) are folded into named, labeled metrics
 that exporters understand.  Everything here is mergeable in the style of
 :meth:`repro.ppfs.cache.CacheStats.merge`, so per-run registries from a
 campaign can be combined into one fleet view:
@@ -94,10 +94,9 @@ class Histogram:
         self.sum: float = 0
 
     def observe(self, value: float) -> None:
-        # int.bit_length() is the whole bucketing function: kept minimal
-        # because the I/O-node request path calls this per request.
-        # The total count is derived from the buckets (see :attr:`count`)
-        # rather than maintained here — one less store per observation.
+        # int.bit_length() is the whole bucketing function.  The total
+        # count is derived from the buckets (see :attr:`count`) rather
+        # than maintained here.
         i = int(value).bit_length() if value > 0 else 0
         if i >= NBUCKETS:
             i = NBUCKETS - 1

@@ -1,34 +1,36 @@
-"""The telemetry runtime: live counters, attach/sample/finalize lifecycle.
+"""The telemetry runtime: attach/sample/finalize lifecycle.
 
-Split of responsibilities:
+Telemetry is *pull-only*: it installs nothing into the simulator.  Two
+sources feed it:
 
-* :class:`LiveCounters` — a slotted bag of plain numeric attributes that
-  hot paths increment behind a single ``is not None`` check.  Attribute
-  adds on a slotted object are the cheapest push hook Python offers; the
-  disabled path costs exactly one attribute load + identity test.
-* :class:`Telemetry` — owns the registry, time-series buffer, sampler,
-  and profiler; wires components up in :meth:`attach`, pulls per-sample
-  state in :meth:`_sample`, and folds everything into the
-  :class:`~repro.telemetry.registry.MetricsRegistry` in :meth:`finalize`.
+* the Pablo traces — every ``pfs.*`` counter and series column is
+  derived from them at :meth:`Telemetry.finalize`, one ``searchsorted``
+  per column over the sample instants (:data:`PFS_COUNTING_RULES` is the
+  whole rule for when an op counts);
+* component statistics the simulator keeps unconditionally
+  (``IONode.busy_time`` and ``size_buckets``, ``Mesh.messages``,
+  ``CacheStats``, ``PPFS.prefetch_inflight`` …), read by the sampler at
+  each tick and folded into the registry at finalize.
 
-Sampling is *pull-based*: the sampler reads counters the simulator
-already maintains (``IONode.busy_time``, ``CacheStats`` …) plus the live
-push counters.  It consumes no RNG draws and never reorders application
+The sampler consumes no RNG draws and never reorders application
 events, so traces stay byte-identical with telemetry on or off.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Iterable, List, Optional
+
+import numpy as np
 
 from ..machine.raid import STATE_CODES
+from ..pablo.events import EVENT_DTYPE, Op
 from ..util.validation import check_positive
 from .profiler import RunProfiler
 from .registry import MetricsRegistry
 from .sampler import Sampler
 from .series import TimeSeries
 
-__all__ = ["LiveCounters", "Telemetry", "DEFAULT_CADENCE_S"]
+__all__ = ["Telemetry", "DEFAULT_CADENCE_S", "PFS_COUNTING_RULES"]
 
 #: Default sampling cadence in simulated seconds.  Paper-scale runs span
 #: thousands of simulated seconds, so this yields several hundred samples
@@ -36,30 +38,55 @@ __all__ = ["LiveCounters", "Telemetry", "DEFAULT_CADENCE_S"]
 #: (see benchmarks/bench_telemetry_overhead.py and docs/OBSERVABILITY.md).
 DEFAULT_CADENCE_S = 10.0
 
+#: When each ``pfs.*`` metric counts a trace row: ``(op, instant,
+#: weight)`` per contributing op.  ``"start"`` is the row timestamp,
+#: ``"end"`` timestamp + duration; ``"rows"`` adds one per row,
+#: ``"nbytes"`` the row's byte count.  Reads and opens count when the
+#: call returns; writes, seeks and async-read issues when it is made;
+#: retries at the re-issue.
+PFS_COUNTING_RULES: dict = {
+    "pfs.reads": ((Op.READ, "end", "rows"),),
+    "pfs.writes": ((Op.WRITE, "start", "rows"),),
+    "pfs.seeks": ((Op.SEEK, "start", "rows"),),
+    "pfs.opens": ((Op.OPEN, "end", "rows"),),
+    "pfs.areads": ((Op.AREAD, "start", "rows"),),
+    "pfs.read_bytes": ((Op.READ, "end", "nbytes"), (Op.AREAD, "start", "nbytes")),
+    "pfs.write_bytes": ((Op.WRITE, "start", "nbytes"),),
+    "pfs.retries": ((Op.RETRY, "start", "rows"),),
+}
 
-class LiveCounters:
-    """Plain numeric fields incremented by the instrumentation hooks."""
+#: The series' ``pfs.*`` columns, in column order (async-read issues are
+#: a registry counter only).
+_PFS_COLUMNS = tuple(name for name in PFS_COUNTING_RULES if name != "pfs.areads")
+_PFS_PLACEHOLDER = (0,) * len(_PFS_COLUMNS)
 
-    __slots__ = (
-        "reads",
-        "writes",
-        "seeks",
-        "opens",
-        "areads",
-        "read_bytes",
-        "write_bytes",
-        "mesh_msgs",
-        "mesh_bytes",
-        "retries",
-        "prefetch_inflight",
-    )
 
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
+def _pfs_totals(traces: Iterable[Any]) -> dict:
+    """For each ``pfs.*`` metric: its sorted counting instants and the
+    cumulative total at each.
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+    The fault recorder appends the same FAULT/RETRY/DEGRADED rows to
+    every program's trace, so they are taken from the first trace only.
+    """
+    parts = [trace.events for trace in traces]
+    parts[1:] = [ev[ev["op"] < int(Op.FAULT)] for ev in parts[1:]]
+    ev = np.concatenate(parts) if parts else np.empty(0, EVENT_DTYPE)
+    op, nbytes = ev["op"], ev["nbytes"]
+    start = ev["timestamp"]
+    instant_cols = {"start": start, "end": start + ev["duration"]}
+    out = {}
+    for name, rules in PFS_COUNTING_RULES.items():
+        times, weights = [], []
+        for code, instant, weight in rules:
+            rows = op == int(code)
+            times.append(instant_cols[instant][rows])
+            weights.append(
+                nbytes[rows] if weight == "nbytes" else np.ones(rows.sum(), np.int64)
+            )
+        instants = np.concatenate(times)
+        order = np.argsort(instants, kind="stable")
+        out[name] = (instants[order], np.cumsum(np.concatenate(weights)[order]))
+    return out
 
 
 class Telemetry:
@@ -74,35 +101,24 @@ class Telemetry:
     def __init__(self, cadence_s: float = DEFAULT_CADENCE_S):
         check_positive(cadence_s, "cadence_s")
         self.cadence_s = float(cadence_s)
-        self.live = LiveCounters()
         self.registry = MetricsRegistry()
         self.profiler = RunProfiler()
         self.series: Optional[TimeSeries] = None
         self.sampler: Optional[Sampler] = None
         self.meta: dict = {}
         self._machine = None
-        self._fs = None
         self._ppfs = None
         self._bb = None
         self._finalized = False
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, machine, fs) -> "Telemetry":
-        """Install push hooks and build the sampling column layout."""
+        """Record the component handles and build the sampling column
+        layout; nothing is installed into the simulator."""
         with self.profiler.section("telemetry.attach"):
-            live = self.live
-            machine.mesh.telem = live
-            # Bound method, not the histogram: the serve loop then pays one
-            # call with no extra attribute lookup per request.
-            request_hist = self.registry.histogram("ionode.request_bytes")
-            for ionode in machine.ionodes:
-                ionode._telem = request_hist.observe
-            # InstrumentedPFS delegates attribute access to the wrapped fs
-            # methods, so hooking the inner PFS covers both spellings.
+            # InstrumentedPFS wraps the raw file system as ``.fs``.
             inner = getattr(fs, "fs", fs)
-            inner.telemetry = live
             self._machine = machine
-            self._fs = inner
             # Policy-layer sections only exist on PPFS.
             self._ppfs = inner if hasattr(inner, "_server_caches") else None
             # Burst-buffer columns only exist on machines with the tier.
@@ -125,13 +141,7 @@ class Telemetry:
     def _columns(self) -> List[str]:
         cols = [
             "time_s",
-            "pfs.reads",
-            "pfs.writes",
-            "pfs.seeks",
-            "pfs.opens",
-            "pfs.read_bytes",
-            "pfs.write_bytes",
-            "pfs.retries",
+            *_PFS_COLUMNS,
             "mesh.messages",
             "mesh.bytes",
             "disk.requests",
@@ -167,13 +177,14 @@ class Telemetry:
         return cols
 
     def _sample(self, now: float) -> None:
-        live = self.live
+        machine = self._machine
+        mesh = machine.mesh
         state_codes = STATE_CODES
         disk_requests = 0
         disk_seek_bytes = 0
         tail: list = []
         push = tail.append
-        for ionode in self._machine.ionodes:
+        for ionode in machine.ionodes:
             array = ionode.array
             disk_requests += ionode.requests_served
             disk_seek_bytes += array._arm.seek_bytes
@@ -182,17 +193,13 @@ class Telemetry:
             push(ionode.busy_time)
             push(ionode.bytes_served)
             push(state_codes[array.state])
+        # The pfs.* columns are placeholders until finalize derives them
+        # from the traces.
         row = [
             now,
-            live.reads,
-            live.writes,
-            live.seeks,
-            live.opens,
-            live.read_bytes,
-            live.write_bytes,
-            live.retries,
-            live.mesh_msgs,
-            live.mesh_bytes,
+            *_PFS_PLACEHOLDER,
+            mesh.messages,
+            mesh.message_bytes,
             disk_requests,
             disk_seek_bytes,
         ]
@@ -219,7 +226,7 @@ class Telemetry:
                 row += [wb.backlog_bytes(), wb.inflight_batches]
             else:
                 row += [0, 0]
-            push(live.prefetch_inflight)
+            push(ppfs.prefetch_inflight)
         bb = self._bb
         if bb is not None:
             row += [
@@ -233,31 +240,33 @@ class Telemetry:
         self.series.append(row)
 
     # -- finalization ----------------------------------------------------------
-    def finalize(self) -> "Telemetry":
-        """Fold live + component state into the registry (idempotent)."""
+    def finalize(self, traces: Iterable[Any] = ()) -> "Telemetry":
+        """Derive the ``pfs.*`` counters and series columns from the run's
+        program traces and fold component state into the registry
+        (idempotent)."""
         if self._finalized:
             return self
         self._finalized = True
         with self.profiler.section("telemetry.finalize"):
             reg = self.registry
-            live = self.live
-            for name, value in (
-                ("pfs.reads", live.reads),
-                ("pfs.writes", live.writes),
-                ("pfs.seeks", live.seeks),
-                ("pfs.opens", live.opens),
-                ("pfs.areads", live.areads),
-                ("pfs.read_bytes", live.read_bytes),
-                ("pfs.write_bytes", live.write_bytes),
-                ("pfs.retries", live.retries),
-                ("mesh.messages", live.mesh_msgs),
-                ("mesh.bytes", live.mesh_bytes),
-            ):
-                reg.counter(name).value = value
+            series = self.series
+            times = series.column("time_s") if series is not None else None
+            for name, (instants, totals) in _pfs_totals(traces).items():
+                reg.counter(name).value = int(totals[-1]) if len(totals) else 0
+                if times is not None and name in series.columns:
+                    # Samples before the first counted op read zero.
+                    at = np.searchsorted(instants, times, side="right")
+                    series.column(name)[:] = np.concatenate(([0], totals))[at]
             machine = self._machine
             if machine is not None:
-                # Disk-layer totals come from component statistics the
-                # machine maintains unconditionally, not from push hooks.
+                mesh = machine.mesh
+                reg.counter("mesh.messages").value = mesh.messages
+                reg.counter("mesh.bytes").value = mesh.message_bytes
+                hist = reg.histogram("ionode.request_bytes")
+                for ionode in machine.ionodes:
+                    for i, n in enumerate(ionode.size_buckets):
+                        hist.counts[i] += n
+                    hist.sum += ionode.bytes_served
                 reg.counter("disk.requests").value = sum(
                     ionode.requests_served for ionode in machine.ionodes
                 )

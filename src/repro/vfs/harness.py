@@ -282,7 +282,7 @@ class SimMachine:
             if rows:
                 self.instrumented.trace.extend(rows)
         if telemetry is not None:
-            telemetry.finalize()
+            telemetry.finalize([self.instrumented.trace])
         return VfsResult(
             self.machine,
             self.fs,

@@ -1,6 +1,6 @@
 """Telemetry subsystem tests.
 
-Four promises are pinned here:
+Five promises are pinned here:
 
 * **registry semantics** — get-or-create identity, label keying, fixed
   log2 histogram buckets, and the exact merge laws (counter add, gauge
@@ -11,6 +11,9 @@ Four promises are pinned here:
   final event;
 * **zero perturbation** — with telemetry off *or on*, every small-scale
   app's traces match the checked-in golden hashes byte-for-byte;
+* **derived counters** — the ``pfs.*`` counters equal the traces' per-op
+  row counts and byte sums on every file system and fidelity, and the
+  PFS event-mode series and registries match their checked-in pins;
 * **lossless export** — the time series survives JSONL and CSV round
   trips with identical content hashes.
 """
@@ -20,10 +23,13 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, Progress, RunSpec, run_metrics
 from repro.core.registry import small_experiment
+from repro.faults import FaultPlan, RequestDrops
+from repro.pablo.events import Op
 from repro.ppfs.cache import CacheStats
 from repro.ppfs.policies import PPFSPolicies
 from repro.sim.core import Environment, Timeout
@@ -52,6 +58,15 @@ APPS = ("escat", "render", "htf")
 _FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_trace_hashes.json")
 with open(_FIXTURE) as _fh:
     GOLDEN = json.load(_fh)
+
+# Series content hash and full registry of each app on PFS, event
+# fidelity, small scale, cadence 0.5 — recorded while the pfs.*, mesh.*
+# and ionode.request_bytes metrics were still pushed by data-path hooks.
+_TELEMETRY_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "data", "golden_telemetry.json"
+)
+with open(_TELEMETRY_FIXTURE) as _fh:
+    GOLDEN_TELEMETRY = json.load(_fh)
 
 
 # -- registry ----------------------------------------------------------------
@@ -339,6 +354,84 @@ class TestTelemetryIsInvisible:
         assert capture() == capture()
 
 
+class TestTelemetryGolden:
+    """Deriving ``pfs.*`` from the trace reproduces the pinned PFS
+    event-mode series and registries exactly."""
+
+    @pytest.mark.parametrize("app", sorted(GOLDEN_TELEMETRY))
+    def test_series_and_registry_match_pins(self, app):
+        telem = small_experiment(app, telemetry=0.5).run().telemetry
+        pinned = GOLDEN_TELEMETRY[app]
+        assert telem.registry.as_dict() == pinned["registry"]
+        assert telem.series.content_hash() == pinned["series"]
+
+
+def _trace_totals(traces):
+    """Per-op row counts and byte sums over every program's trace."""
+    ev = np.concatenate([t.events for t in traces.values()])
+    op, nbytes = ev["op"], ev["nbytes"]
+    read = op == int(Op.READ)
+    aread = op == int(Op.AREAD)
+    write = op == int(Op.WRITE)
+    return {
+        "pfs.reads": int(read.sum()),
+        "pfs.writes": int(write.sum()),
+        "pfs.seeks": int((op == int(Op.SEEK)).sum()),
+        "pfs.opens": int((op == int(Op.OPEN)).sum()),
+        "pfs.areads": int(aread.sum()),
+        "pfs.read_bytes": int(nbytes[read | aread].sum()),
+        "pfs.write_bytes": int(nbytes[write].sum()),
+    }
+
+
+class TestCountersMatchTraces:
+    """``pfs.*`` counters agree with the Pablo trace on every path —
+    PPFS write-behind, client-local seeks and cache hits included, and
+    fluid phases included."""
+
+    @pytest.mark.parametrize("fidelity", ["event", "fluid"])
+    @pytest.mark.parametrize("filesystem", ["pfs", "ppfs"])
+    @pytest.mark.parametrize("app", ["escat", "render", "htf", "checkpoint"])
+    def test_final_counters_equal_trace_totals(self, app, filesystem, fidelity):
+        kwargs = {}
+        if filesystem == "ppfs":
+            kwargs["policies"] = PPFSPolicies.escat_tuned()
+        result = small_experiment(
+            app, filesystem=filesystem, fidelity=fidelity, telemetry=0.5,
+            **kwargs,
+        ).run()
+        reg = result.telemetry.registry
+        totals = _trace_totals(result.traces)
+        assert totals["pfs.reads"] + totals["pfs.writes"] > 0
+        assert {name: reg.get(name).value for name in totals} == totals
+
+    def test_series_ends_at_or_below_the_totals(self):
+        result = small_experiment(
+            "escat", filesystem="ppfs", policies=PPFSPolicies.escat_tuned(),
+            telemetry=0.5,
+        ).run()
+        telem = result.telemetry
+        for name in ("pfs.reads", "pfs.writes", "pfs.seeks"):
+            column = telem.series.column(name)
+            assert all(b >= a for a, b in zip(column, column[1:]))
+            assert 0 < column[-1] <= telem.registry.get(name).value
+
+    def test_retries_counted_once_across_programs(self):
+        plan = FaultPlan(
+            drops=(RequestDrops(probability=0.1, start_s=0.0, duration_s=100.0),)
+        )
+        result = small_experiment("htf", faults=plan, telemetry=0.5).run()
+        per_trace = {
+            name: int((t.events["op"] == int(Op.RETRY)).sum())
+            for name, t in result.traces.items()
+        }
+        assert len(per_trace) == 3 and len(set(per_trace.values())) == 1
+        retries = next(iter(per_trace.values()))
+        assert retries > 0
+        assert result.telemetry.registry.get("pfs.retries").value == retries
+        assert result.telemetry.series.column("pfs.retries")[-1] <= retries
+
+
 # -- runtime -----------------------------------------------------------------
 @pytest.fixture(scope="module")
 def escat_telemetry():
@@ -360,6 +453,17 @@ class TestTelemetryRuntime:
         assert reg.get("mesh.messages").value > 0
         assert reg.get("disk.requests").value > 0
         assert reg.get("ionode.request_bytes").count > 0
+
+    def test_attach_installs_nothing(self):
+        exp = small_experiment(
+            "escat", filesystem="ppfs", policies=PPFSPolicies.escat_tuned()
+        )
+        machine = exp.machine_factory()
+        fs = exp.build_fs(machine)
+        parts = [machine, fs, machine.mesh, *machine.ionodes]
+        before = [dict(vars(part)) for part in parts]
+        Telemetry(cadence_s=1.0).attach(machine, fs)
+        assert [dict(vars(part)) for part in parts] == before
 
     def test_per_node_metrics_labeled(self, escat_telemetry):
         reg = escat_telemetry.registry

@@ -300,6 +300,8 @@ class TestHarness:
 
         result = run_single(prog, telemetry=True)
         assert result.telemetry is not None
+        assert result.telemetry.registry.get("pfs.writes").value == 1
+        assert result.telemetry.registry.get("pfs.write_bytes").value == 1024
 
 
 class TestDeterminism:
