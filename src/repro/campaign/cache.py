@@ -43,9 +43,25 @@ class ResultCache:
         """True iff a complete entry exists (metrics.json is written last)."""
         return os.path.isfile(os.path.join(self.entry_dir(run_hash), _METRICS))
 
-    def load_metrics(self, run_hash: str) -> dict[str, Any]:
-        with open(os.path.join(self.entry_dir(run_hash), _METRICS)) as fh:
-            return json.load(fh)
+    def load_metrics(self, run_hash: str) -> Optional[dict[str, Any]]:
+        """The entry's metrics, or None when there is no usable entry.
+
+        A ``metrics.json`` that does not decode to a JSON object (a
+        truncated or corrupt file) makes the entry a miss: it is evicted
+        so the run executes again and republishes it.
+        """
+        path = os.path.join(self.entry_dir(run_hash), _METRICS)
+        try:
+            with open(path) as fh:
+                metrics = json.load(fh)
+        except FileNotFoundError:
+            return None
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            metrics = None
+        if not isinstance(metrics, dict):
+            self.evict(run_hash)
+            return None
+        return metrics
 
     def load_spec(self, run_hash: str) -> Optional[RunSpec]:
         path = os.path.join(self.entry_dir(run_hash), _SPEC)

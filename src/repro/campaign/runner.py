@@ -145,9 +145,10 @@ class CampaignRunner:
         fresh = []
         for spec in runs:
             rec = records[spec.run_hash]
-            if self.cache.has(spec.run_hash):
+            metrics = self.cache.load_metrics(spec.run_hash)
+            if metrics is not None:
                 rec.status = "cached"
-                rec.metrics = self.cache.load_metrics(spec.run_hash)
+                rec.metrics = metrics
                 progress.move("queued", "cached", spec.label())
             else:
                 fresh.append(spec)

@@ -17,7 +17,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..apps.workloads import paper_machine, production_machine, small_machine
 from ..core.experiment import Experiment
@@ -40,6 +41,22 @@ _SCALES = ("paper", "small", "production")
 _FILESYSTEMS = ("pfs", "ppfs")
 #: Override values must survive a JSON round trip unchanged.
 _OVERRIDE_TYPES = (bool, int, float, str)
+
+#: Optional axes, in canonical and label order: ``(field, canonical
+#: value of the spec, label fragment of that value)``.  An axis enters
+#: the canonical record only when its field is set (normalization maps
+#: no-op values to None), so specs that predate an axis keep their run
+#: hashes.
+_OPTIONAL_AXES: tuple[tuple[str, Callable[[Any], Any], Callable[[Any], str]], ...] = (
+    ("faults", attrgetter("faults"),
+     lambda v: f"faults{hashlib.sha256(v.encode()).hexdigest()[:6]}"),
+    ("telemetry", attrgetter("telemetry"), lambda v: f"telem{v:g}"),
+    ("burst_buffer", attrgetter("burst_buffer"), lambda v: f"bb{v // (1024 * 1024)}M"),
+    ("fidelity", attrgetter("fidelity"), str),
+    ("spans", attrgetter("spans"), lambda v: "spans"),
+    # The content digest, not the path, identifies the run.
+    ("trace", attrgetter("_trace_digest"), lambda v: f"trace{v[:6]}"),
+)
 
 
 def _freeze_overrides(overrides: Any) -> tuple[tuple[str, Any], ...]:
@@ -223,25 +240,16 @@ class RunSpec:
             "seed": self.seed,
             "overrides": {k: v for k, v in self.overrides},
         }
-        # Only present when set: pre-faults cache entries keep their hashes.
-        if self.faults is not None:
-            record["faults"] = self.faults
-        # Likewise only when set (pre-telemetry entries keep their hashes).
-        if self.telemetry is not None:
-            record["telemetry"] = self.telemetry
-        # Likewise (pre-burst-buffer entries keep their hashes).
-        if self.burst_buffer is not None:
-            record["burst_buffer"] = self.burst_buffer
-        # Likewise (pre-fidelity entries keep their hashes).
-        if self.fidelity is not None:
-            record["fidelity"] = self.fidelity
-        # Likewise (pre-spans entries keep their hashes).
-        if self.spans is not None:
-            record["spans"] = self.spans
-        # Likewise; the digest (not the path) is what identifies the run.
-        if self.trace is not None:
-            record["trace"] = self._trace_digest
+        record.update((name, value) for name, value, _ in self._set_axes())
         return record
+
+    def _set_axes(self) -> Iterator[tuple[str, Any, str]]:
+        """``(field, canonical value, label fragment)`` of each set
+        optional axis, in :data:`_OPTIONAL_AXES` order."""
+        for name, canonical, label in _OPTIONAL_AXES:
+            if getattr(self, name) is not None:
+                value = canonical(self)
+                yield name, value, label(value)
 
     @property
     def run_hash(self) -> str:
@@ -256,18 +264,7 @@ class RunSpec:
             parts.append(self.policy)
         if self.seed is not None:
             parts.append(f"seed{self.seed}")
-        if self.faults is not None:
-            parts.append(f"faults{hashlib.sha256(self.faults.encode()).hexdigest()[:6]}")
-        if self.telemetry is not None:
-            parts.append(f"telem{self.telemetry:g}")
-        if self.burst_buffer is not None:
-            parts.append(f"bb{self.burst_buffer // (1024 * 1024)}M")
-        if self.fidelity is not None:
-            parts.append(self.fidelity)
-        if self.spans is not None:
-            parts.append("spans")
-        if self.trace is not None:
-            parts.append(f"trace{self._trace_digest[:6]}")
+        parts.extend(fragment for _, _, fragment in self._set_axes())
         return "/".join(parts)
 
     # -- (de)serialization -------------------------------------------------

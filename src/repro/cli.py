@@ -547,6 +547,9 @@ def _cmd_campaign_status(args) -> int:
     for run_hash in entries:
         spec = cache.load_spec(run_hash)
         metrics = cache.load_metrics(run_hash)
+        if metrics is None:
+            print(f"  {run_hash}  corrupt metrics.json, evicted")
+            continue
         label = spec.label() if spec else "?"
         line = (f"  {run_hash}  {label:<30} makespan {metrics['makespan_s']:>10.2f}s  "
                 f"io {metrics['io_node_time_s']:>10.2f}s  {metrics['events']:>7,} events")

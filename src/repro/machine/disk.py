@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..util.validation import check_nonneg, check_positive
 
 __all__ = ["DiskParams", "Disk"]
@@ -102,36 +100,4 @@ class Disk:
         if nbytes > 0:
             t += p.avg_rotational_latency_s + nbytes / p.transfer_rate_bps
         self.head_pos = offset + nbytes
-        return t
-
-    def service_batch(self, offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`service_time` over a request cohort.
-
-        Head positions are a pure recurrence (each request leaves the head
-        at ``offset + nbytes``), so the whole chain of per-request seek
-        distances is known up front — one shifted array, no loop.  Every
-        arithmetic expression mirrors the scalar path's grouping exactly
-        (IEEE float addition is not associative), so each returned element
-        is bit-identical to the scalar call sequence.  Advances the head
-        and :attr:`seek_bytes` as the scalar loop would.
-        """
-        p = self.params
-        heads = np.empty_like(offsets)
-        heads[0] = self.head_pos
-        np.add(offsets[:-1], sizes[:-1], out=heads[1:])
-        dist = np.abs(offsets - heads)
-        self.seek_bytes += int(dist.sum())
-        frac = np.minimum(1.0, dist / p.capacity_bytes)
-        seek = np.where(
-            dist == 0,
-            0.0,
-            p.min_seek_s + (p.max_seek_s - p.min_seek_s) * np.sqrt(frac),
-        )
-        t = seek + p.overhead_s
-        t = t + np.where(
-            sizes > 0,
-            p.avg_rotational_latency_s + sizes / p.transfer_rate_bps,
-            0.0,
-        )
-        self.head_pos = int(offsets[-1] + sizes[-1])
         return t

@@ -33,9 +33,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Union
 
 from ..pfs.errors import DegradedService, IONodeUnavailable, IOTimeout
 from ..pfs.fanout import countdown
@@ -254,28 +252,21 @@ class IONode:
         at its absolute end time.
 
         Bit-exactness with the scalar dispatcher hinges on two details:
-        the service expression keeps the scalar grouping, and the
-        completion is scheduled via :meth:`Environment.schedule_at` at the
-        *stored* end time rather than a relative timeout (``now + (end -
-        now)`` need not round back to ``end``).
+        both price through :meth:`_price`, and the completion is
+        scheduled via :meth:`Environment.schedule_at` at the *stored* end
+        time rather than a relative timeout (``now + (end - now)`` need
+        not round back to ``end``).
         """
         env = self.env
         spans = self._spans
         if control:
             service = extra_s
+            self.busy_time += service
         else:
             # Head position before service is what the span recorder's
             # closed-form seek decomposition needs (service_time moves it).
             head = self.array._arm.head_pos if spans is not None else -1.0
-            service = (
-                self.params.request_overhead_s
-                + extra_s
-                + self.array.service_time(offset, nbytes, is_write)
-            )
-            self.requests_served += 1
-            self.bytes_served += nbytes
-            self.size_buckets[int(nbytes).bit_length()] += 1
-        self.busy_time += service
+            service = self._price(offset, nbytes, is_write, extra_s)
         open_ = self._eager_open
         end = (self._free_at if open_ else env.now) + service
         self._free_at = end
@@ -301,24 +292,24 @@ class IONode:
 
     def submit_batch(
         self,
-        offsets,
-        sizes,
+        offsets: Sequence[int],
+        sizes: Sequence[int],
         is_write: bool,
-        extra_s: float = 0.0,
+        extra_s: Union[float, Sequence[float]] = 0.0,
         span_parent: float = -1.0,
     ) -> Event:
         """Queue a same-instant FIFO cohort of data requests in one pass;
         the returned event fires when the *last* of them completes, with
         the cohort's total in-service time as value.
 
-        The vectorized array model prices the whole cohort in one NumPy
-        sweep (element-for-element bit-identical to the scalar chain), a
-        single left-fold recovers the scalar end-time floats, and one
-        kernel event replaces the cohort's ~3n.  Callers must only use
-        this where per-chunk completion *times* are not observed
-        individually — the write-behind flusher's burst is the canonical
-        site.  ``extra_s`` is a scalar or a per-request sequence.  Falls
-        back to per-request submits folded through
+        ``extra_s`` is a scalar or a per-request sequence.  One loop
+        prices each request through :meth:`_price` and folds the end
+        times in arrival order, so every float matches the one-at-a-time
+        chain, and one armed completion replaces the cohort's
+        per-request ones.  Callers must only use this where per-chunk
+        completion *times* are not observed individually — the
+        write-behind flusher's burst is the canonical site.  Falls back
+        to per-request submits folded through
         :func:`~repro.pfs.fanout.countdown` whenever the eager path is
         off (SSTF, faults, ``REPRO_NO_BATCH``).
         """
@@ -328,56 +319,58 @@ class IONode:
             ev = Event(env)
             ev.succeed(0.0)
             return ev
+        extras = [extra_s] * n if isinstance(extra_s, (int, float)) else extra_s
         if not self._eager:
             done, chunk_done = countdown(env, n)
-            extras = (
-                [extra_s] * n
-                if isinstance(extra_s, (int, float))
-                else [float(x) for x in extra_s]
-            )
             for off, nb, ex in zip(offsets, sizes, extras):
-                self.submit(int(off), int(nb), is_write, ex, span_parent).callbacks.append(
+                self.submit(off, nb, is_write, ex, span_parent).callbacks.append(
                     chunk_done
                 )
             return done
-        offsets = np.asarray(offsets, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        services = (
-            self.params.request_overhead_s + np.asarray(extra_s, dtype=np.float64)
-        ) + self.array.service_batch(offsets, sizes, is_write)
-        self.requests_served += n
-        self.bytes_served += int(sizes.sum())
-        buckets = self.size_buckets
-        for nb in sizes.tolist():
-            buckets[nb.bit_length()] += 1
         open_ = self._eager_open
-        # Sequential fold, not cumsum: float addition grouping must match
-        # the scalar one-at-a-time chain exactly.
         first_start = self._free_at if open_ else env.now
         end = first_start
-        busy = self.busy_time
-        for s in services.tolist():
-            busy += s
-            end += s
-        self.busy_time = busy
+        total = 0.0
+        for off, nb, ex in zip(offsets, sizes, extras):
+            service = self._price(off, nb, is_write, ex)
+            end += service
+            total += service
         self._free_at = end
         done = Event(env)
         open_.append(done)
-        env.schedule_at(end).callbacks.append(
-            partial(self._eager_done, done, float(services.sum()))
-        )
+        env.schedule_at(end).callbacks.append(partial(self._eager_done, done, total))
         spans = self._spans
         if spans is not None:
-            # Explicit cohort-summary span: batched mode prices the whole
-            # burst in one sweep, so per-chunk spans don't exist here.
+            # Explicit cohort-summary span: the burst is armed as one
+            # completion, so per-chunk spans don't exist here.
             now = env.now
-            total = int(sizes.sum())
+            nbytes = sum(sizes)
             cohort = spans.add(
-                "ion.cohort", self.index, now, end, span_parent, total, float(n)
+                "ion.cohort", self.index, now, end, span_parent, nbytes, float(n)
             )
-            spans.add("ion.queue", self.index, now, first_start, cohort, total)
-            spans.add("ion.service", self.index, first_start, end, cohort, total)
+            spans.add("ion.queue", self.index, now, first_start, cohort, nbytes)
+            spans.add("ion.service", self.index, first_start, end, cohort, nbytes)
         return done
+
+    def _price(self, offset: int, nbytes: int, is_write: bool, extra_s: float) -> float:
+        """Service time of one data request, with its statistics.
+
+        The single pricing law every path shares (scalar dispatcher,
+        eager submit, cohort batch, fluid solver): I/O-node software
+        overhead, the caller's per-chunk extra, then the array's
+        positioning-aware service time, summed in exactly that grouping
+        so every path rounds identically.  Advances the array head.
+        """
+        service = (
+            self.params.request_overhead_s
+            + extra_s
+            + self.array.service_time(offset, nbytes, is_write)
+        )
+        self.requests_served += 1
+        self.bytes_served += nbytes
+        self.busy_time += service
+        self.size_buckets[int(nbytes).bit_length()] += 1
+        return service
 
     def sync_free_at(self, end: float) -> None:
         """Absorb an externally priced busy horizon (fluid-mode phases).
@@ -593,17 +586,10 @@ class IONode:
         spans = self._spans
         if req.control:
             service = req.extra_s
+            self.busy_time += service
         else:
             head = self.array._arm.head_pos if spans is not None else -1.0
-            service = (
-                self.params.request_overhead_s
-                + req.extra_s
-                + self.array.service_time(req.offset, req.nbytes, req.is_write)
-            )
-            self.requests_served += 1
-            self.bytes_served += req.nbytes
-            self.size_buckets[int(req.nbytes).bit_length()] += 1
-        self.busy_time += service
+            service = self._price(req.offset, req.nbytes, req.is_write, req.extra_s)
         if spans is not None:
             now = self.env.now
             spans.ion_raw.append(

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..pfs.errors import DataLoss
 from ..util.validation import check_nonneg
 from .disk import Disk, DiskParams
@@ -200,27 +198,4 @@ class Raid3Array:
                 "finished; the stripe is unrecoverable"
             )
         t = self._arm.service_time(per_disk_offset, per_disk_bytes)
-        return t * self._factor + self._extra_s + p.controller_overhead_s
-
-    def service_batch(
-        self, offsets: np.ndarray, sizes: np.ndarray, is_write: bool = False
-    ) -> np.ndarray:
-        """Vectorized :meth:`service_time` over a request cohort.
-
-        Same address mapping and impairment arithmetic as the scalar path,
-        element-for-element bit-identical (the expressions keep the scalar
-        grouping).  Raises :class:`DataLoss` up front when failed — the
-        scalar loop would raise on its first request too.
-        """
-        p = self.params
-        if self.state == "failed":
-            raise DataLoss(
-                "RAID-3 array lost a second disk before the rebuild "
-                "finished; the stripe is unrecoverable"
-            )
-        per_disk_offsets = offsets // p.data_disks
-        per_disk_sizes = -((-sizes) // p.data_disks)  # ceil, 0 stays 0
-        t = self._arm.service_batch(per_disk_offsets, per_disk_sizes)
-        if not self._impaired:
-            return t + p.controller_overhead_s
         return t * self._factor + self._extra_s + p.controller_overhead_s

@@ -14,23 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..util.units import STRIPE_UNIT
 from ..util.validation import check_nonneg, check_positive
 
-__all__ = ["StripeLayout", "Chunk", "CHUNK_DTYPE"]
-
-#: Columnar chunk record, one row per :class:`Chunk`, produced by
-#: :meth:`StripeLayout.decompose_batch` for the vectorized service path.
-CHUNK_DTYPE = np.dtype(
-    [
-        ("ionode", np.int64),
-        ("disk_offset", np.int64),
-        ("nbytes", np.int64),
-        ("logical_offset", np.int64),
-    ]
-)
+__all__ = ["StripeLayout", "Chunk"]
 
 
 @dataclass(frozen=True)
@@ -161,46 +148,6 @@ class StripeLayout:
             memo.clear()
         memo[(offset, nbytes)] = out
         return out.copy()
-
-    def decompose_batch(
-        self, offsets, counts
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`decompose` over many extents in one pass.
-
-        Returns ``(chunks_per_extent, chunks)``: an int64 array giving
-        each extent's chunk count, and one :data:`CHUNK_DTYPE` structured
-        array holding every chunk, extent-major in the exact order the
-        scalar calls would produce.  Zero-length extents contribute zero
-        chunks (the scalar path returns ``[]``).
-        """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if offsets.size and int(offsets.min()) < 0:
-            raise ValueError("offsets must be >= 0")
-        if counts.size and int(counts.min()) < 0:
-            raise ValueError("counts must be >= 0")
-        su = self.stripe_unit
-        n = self.n_ionodes
-        ends = offsets + counts
-        u0 = offsets // su
-        u1 = (ends - 1) // su
-        m = np.where(counts > 0, np.minimum(u1 - u0 + 1, n), 0)
-        total = int(m.sum())
-        chunks = np.empty(total, CHUNK_DTYPE)
-        if total == 0:
-            return m, chunks
-        req = np.repeat(np.arange(len(offsets)), m)
-        j = np.arange(total) - np.repeat(np.cumsum(m) - m, m)
-        u = u0[req] + j
-        start = np.where(j == 0, offsets[req], u * su)
-        count = (u1[req] - u) // n + 1
-        last_u = u + (count - 1) * n
-        stop = np.where(last_u == u1[req], ends[req], (last_u + 1) * su)
-        chunks["ionode"] = (self.first_ionode + u) % n
-        chunks["disk_offset"] = self.base + (u // n) * su + start % su
-        chunks["nbytes"] = count * su - (start - u * su) - ((last_u + 1) * su - stop)
-        chunks["logical_offset"] = start
-        return m, chunks
 
     def span_bytes(self, offset: int, nbytes: int) -> dict[int, int]:
         """Bytes of the extent served by each I/O node (for load analyses)."""

@@ -14,20 +14,19 @@ All buffered data is durable by the time :meth:`drain_file` (called from
 close) returns — write caching here increases achieved bandwidth, it
 does not reduce the volume reaching disk (§8).
 
-The flusher is allocation-lean: one submission pass hands each I/O
-node its share of every drainable run via
-:meth:`~repro.machine.ionode.IONode.submit_batch`, and a single shared
-countdown completes the batch — no per-run flush Process, no per-chunk
-serve generator.  ``ExtentSet.max_run_bytes`` lets :meth:`submit` skip
-the drain scan entirely when no pending run can qualify yet, which is
-the common case under aggregation.
+The flusher is allocation-lean: each drainable run is decomposed once
+with :meth:`~repro.pfs.striping.StripeLayout.decompose`, each I/O node
+receives its share of the batch as one
+:meth:`~repro.machine.ionode.IONode.submit_batch` cohort, and a single
+shared countdown completes the batch — no per-run flush Process, no
+per-chunk serve generator.  ``ExtentSet.max_run_bytes`` lets
+:meth:`submit` skip the drain scan entirely when no pending run can
+qualify yet, which is the common case under aggregation.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..pfs.errors import IONodeUnavailable, RetryBudgetExceeded, TransientIOError
 from ..pfs.file import PFSFile
@@ -120,11 +119,11 @@ class WriteBehindManager:
         """Launch one file's drainable runs as background transfers.
 
         Every chunk of every run arrives at this same instant, so each
-        I/O node's share is one FIFO cohort: decompose all runs in one
-        vectorized pass, stable-sort the chunk table by node (preserving
-        per-node arrival order), and hand each node's slice to
+        I/O node's share is one FIFO cohort: group the runs' chunks by
+        node (keeping per-node arrival order) and hand each node's
+        group, in ascending node order, to
         :meth:`~repro.machine.ionode.IONode.submit_batch`, which prices
-        it in one sweep or falls back to per-request submits when the
+        it in one pass or falls back to per-request submits when the
         node is not eager.  Each run still counts as one logical
         transfer for the aggregation statistics.
         """
@@ -133,26 +132,36 @@ class WriteBehindManager:
         if self.retry_domain is not None:
             self._start_runs_retrying(f, runs)
             return
-        fs = self.fs
-        ionodes = fs.machine.ionodes
-        self.transfers_issued += len(runs)
-        starts = np.fromiter((r[0] for r in runs), np.int64, len(runs))
-        ends = np.fromiter((r[1] for r in runs), np.int64, len(runs))
-        run_sizes = ends - starts
-        self.bytes_flushed += int(run_sizes.sum())
+        ionodes = self.fs.machine.ionodes
+        groups: dict[int, list[tuple[int, int, int, float]]] = {}
+        for spec in self._chunk_specs(f, runs):
+            groups.setdefault(spec[0], []).append(spec)
         fsid = self._flush_span(runs)
-        _, chunks = f.layout.decompose_batch(starts, run_sizes)
-        chunks = chunks[np.argsort(chunks["ionode"], kind="stable")]
-        node_ids = chunks["ionode"]
-        bounds = [0, *(np.flatnonzero(node_ids[1:] != node_ids[:-1]) + 1), len(chunks)]
-        per_byte = fs.costs.write_chunk_extra_per_byte_s
-        node_done = self._batch_done(len(bounds) - 1, fsid)
-        for b0, b1 in zip(bounds[:-1], bounds[1:]):
-            group = chunks[b0:b1]
-            sizes = group["nbytes"]
-            ionodes[int(node_ids[b0])].submit_batch(
-                group["disk_offset"], sizes, True, sizes * per_byte, fsid
+        node_done = self._batch_done(len(groups), fsid)
+        for node in sorted(groups):
+            _, offsets, sizes, extras = zip(*groups[node])
+            ionodes[node].submit_batch(
+                offsets, sizes, True, extras, fsid
             ).callbacks.append(node_done)
+
+    def _chunk_specs(
+        self, f: PFSFile, runs: list[tuple[int, int]]
+    ) -> list[tuple[int, int, int, float]]:
+        """Decompose runs into ``(ionode, disk_offset, nbytes, extra_s)``
+        chunk specs, run-major, and count them as issued transfers."""
+        fs = self.fs
+        decompose = f.layout.decompose
+        specs = []
+        self.transfers_issued += len(runs)
+        for start, end in runs:
+            nbytes = end - start
+            self.bytes_flushed += nbytes
+            for chunk in decompose(start, nbytes):
+                specs.append((
+                    chunk.ionode, chunk.disk_offset, chunk.nbytes,
+                    fs._chunk_extra(chunk.nbytes, is_write=True),
+                ))
+        return specs
 
     def _flush_span(self, runs: list[tuple[int, int]]) -> int:
         """Open the batch's root ``wb.flush`` span (-1 with spans off):
@@ -206,18 +215,8 @@ class WriteBehindManager:
         policy = domain.policy
         rng = domain.backoff_rng
         recorder = domain.recorder
-        decompose = f.layout.decompose
         file_id = f.file_id
-        specs: list[tuple[int, int, int, float]] = []
-        self.transfers_issued += len(runs)
-        for start, end in runs:
-            nbytes = end - start
-            self.bytes_flushed += nbytes
-            for chunk in decompose(start, nbytes):
-                specs.append((
-                    chunk.ionode, chunk.disk_offset, chunk.nbytes,
-                    fs._chunk_extra(chunk.nbytes, is_write=True),
-                ))
+        specs = self._chunk_specs(f, runs)
         fsid = self._flush_span(runs)
         spans = self.spans
         settle = self._batch_done(len(specs), fsid)

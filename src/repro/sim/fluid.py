@@ -25,8 +25,9 @@ is drained) and then solves the whole phase in one pass:
   would resolve them at op granularity;
 * each chunk is priced through the *real* component laws —
   :meth:`StripeLayout.decompose`, the memoized
-  :meth:`Mesh.message_time`, and :meth:`Raid3Array.service_time` (whose
-  head-state mutation doubles as state absorption);
+  :meth:`Mesh.message_time`, and the I/O node's own pricing law
+  :meth:`IONode._price` (whose head-state mutation doubles as state
+  absorption);
 * the pass emits the same per-op trace rows and bumps the same
   filesystem / I/O-node statistics the discrete path would,
   then arms **one** :meth:`Environment.schedule_at` completion per plan
@@ -382,97 +383,60 @@ class FluidServicer:
                     mod = plan.mod
                     if mod is not None:
                         mod.compute_time += dt
-                elif kind == OP_WRITE:
+                elif kind == OP_WRITE or kind == OP_READ:
                     f = op[1]
                     entry = op[2]
                     nbytes = op[3]
+                    is_write = kind == OP_WRITE
                     t0 = t
                     t += op_overhead
-                    entry.rbuf_start = entry.rbuf_end = -1
                     offset = f.tell(entry)
-                    shared = f.shared
-                    if not shared and 0 < wbuf_max >= nbytes:
-                        raise RuntimeError(
-                            f"fluid cohort {cohort.key!r}: accepted write of "
-                            f"{nbytes} B on a private file would take the "
-                            f"buffered path — the enrolling phase mis-hinted"
-                        )
-                    locked = f.sem.atomic and shared
-                    if locked:
-                        grant = token_free.get(f, 0.0)
-                        if grant < t:
-                            grant = t
-                        t = grant + write_hold
+                    locked = False
+                    if is_write:
+                        entry.rbuf_start = entry.rbuf_end = -1
+                        count = nbytes
+                        shared = f.shared
+                        if not shared and 0 < wbuf_max >= nbytes:
+                            raise RuntimeError(
+                                f"fluid cohort {cohort.key!r}: accepted write of "
+                                f"{nbytes} B on a private file would take the "
+                                f"buffered path — the enrolling phase mis-hinted"
+                            )
+                        locked = f.sem.atomic and shared
+                        if locked:
+                            grant = token_free.get(f, 0.0)
+                            if grant < t:
+                                grant = t
+                            t = grant + write_hold
+                    else:
+                        count = f.readable_bytes(offset, nbytes)
                     op_end = t
-                    for chunk in f.layout.decompose(offset, nbytes):
+                    for chunk in f.layout.decompose(offset, count):
                         ci = chunk.ionode
-                        ion = ionodes[ci]
                         cn = chunk.nbytes
                         arrival = t + mesh_time(node, io_pos[ci], cn)
-                        service = (
-                            ion.params.request_overhead_s
-                            + cn * write_extra
-                            + ion.array.service_time(chunk.disk_offset, cn, True)
+                        service = ionodes[ci]._price(
+                            chunk.disk_offset, cn, is_write,
+                            cn * write_extra if is_write else read_extra,
                         )
                         fi = free[ci]
                         start = arrival if arrival > fi else fi
                         end = start + service
                         free[ci] = end
-                        ion.requests_served += 1
-                        ion.bytes_served += cn
-                        ion.busy_time += service
-                        ion.size_buckets[int(cn).bit_length()] += 1
                         if end > op_end:
                             op_end = end
-                    t = op_end + nbytes * byte_cost
-                    if locked:
-                        token_free[f] = t
-                    f.note_write(node, offset, nbytes)
-                    f.advance(entry, nbytes)
-                    entry.last_op_offset = offset
-                    dur = t - t0
-                    trace_add(t0, node, op_write, f.file_id, offset, nbytes, dur)
-                    for obs in observers:
-                        obs.observe(t0, node, op_write, f.file_id, offset,
-                                    nbytes, dur)
-                elif kind == OP_READ:
-                    f = op[1]
-                    entry = op[2]
-                    nbytes = op[3]
-                    t0 = t
-                    t += op_overhead
-                    offset = f.tell(entry)
-                    count = f.readable_bytes(offset, nbytes)
-                    if count:
-                        op_end = t
-                        for chunk in f.layout.decompose(offset, count):
-                            ci = chunk.ionode
-                            ion = ionodes[ci]
-                            cn = chunk.nbytes
-                            arrival = t + mesh_time(node, io_pos[ci], cn)
-                            service = (
-                                ion.params.request_overhead_s
-                                + read_extra
-                                + ion.array.service_time(chunk.disk_offset, cn,
-                                                         False)
-                            )
-                            fi = free[ci]
-                            start = arrival if arrival > fi else fi
-                            end = start + service
-                            free[ci] = end
-                            ion.requests_served += 1
-                            ion.bytes_served += cn
-                            ion.busy_time += service
-                            ion.size_buckets[int(cn).bit_length()] += 1
-                            if end > op_end:
-                                op_end = end
-                        t = op_end + count * byte_cost
+                    t = op_end + count * byte_cost
+                    if is_write:
+                        if locked:
+                            token_free[f] = t
+                        f.note_write(node, offset, nbytes)
                     f.advance(entry, count)
                     entry.last_op_offset = offset
                     dur = t - t0
-                    trace_add(t0, node, op_read, f.file_id, offset, count, dur)
+                    code = op_write if is_write else op_read
+                    trace_add(t0, node, code, f.file_id, offset, count, dur)
                     for obs in observers:
-                        obs.observe(t0, node, op_read, f.file_id, offset,
+                        obs.observe(t0, node, code, f.file_id, offset,
                                     count, dur)
                 elif kind == OP_SEEK:
                     f = op[1]

@@ -1,14 +1,14 @@
-"""Batched columnar execution: op-for-op equivalence + golden guards.
+"""Batched execution: op-for-op equivalence + golden guards.
 
-The vectorized service path (:meth:`StripeLayout.decompose_batch`,
-:meth:`Disk.service_batch`, :meth:`Raid3Array.service_batch`, the eager
-FIFO :class:`IONode`) promises *bit-identical* results to the scalar
-code it bypasses — same chunks, same IEEE-754 service times, same
-completion instants, same statistics.  Hypothesis hammers each layer
-against its scalar twin; the golden-hash guards then pin the end-to-end
-promise for every application x filesystem preset with batching forced
-on AND off (``REPRO_NO_BATCH=1``), so both code paths stay wired to the
-same checked-in event streams.
+The eager FIFO :class:`IONode` prices every request through the same
+scalar law as the queued dispatcher (:meth:`IONode._price`) and
+promises *bit-identical* results to it — same IEEE-754 service times,
+same completion instants, same statistics, whether requests arrive one
+at a time or as a :meth:`IONode.submit_batch` cohort.  Hypothesis
+checks both against the scalar queue; the golden-hash guards then pin
+the end-to-end promise for every application x filesystem preset with
+batching forced on AND off (``REPRO_NO_BATCH=1``), so both code paths
+stay wired to the same checked-in event streams.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import RunSpec
-from repro.machine.disk import Disk, DiskParams
 from repro.machine.ionode import IONode
-from repro.machine.raid import Raid3Array, Raid3Params
-from repro.pfs.striping import StripeLayout
 from repro.sim.core import Environment
 
 _FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_trace_hashes.json")
@@ -35,99 +31,11 @@ with open(_FIXTURE) as _fh:
 
 
 # -- strategies ----------------------------------------------------------------
-@st.composite
-def layouts(draw):
-    n = draw(st.integers(1, 16))
-    return StripeLayout(
-        n_ionodes=n,
-        stripe_unit=draw(st.sampled_from((512, 4096, 65536, 777))),
-        first_ionode=draw(st.integers(0, n - 1)),
-        base=draw(st.sampled_from((0, 65536))),
-    )
-
-
-extents = st.lists(
-    st.tuples(st.integers(0, 4 * 1024 * 1024), st.integers(0, 1024 * 1024)),
-    min_size=0,
-    max_size=12,
-)
-
 requests = st.lists(
     st.tuples(st.integers(0, 256 * 1024 * 1024), st.integers(0, 1024 * 1024)),
     min_size=1,
     max_size=16,
 )
-
-
-# -- decompose_batch vs scalar decompose ---------------------------------------
-class TestDecomposeBatch:
-    @given(layouts(), extents)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_scalar_chunk_for_chunk(self, layout, reqs):
-        offsets = np.fromiter((o for o, _ in reqs), np.int64, len(reqs))
-        counts = np.fromiter((c for _, c in reqs), np.int64, len(reqs))
-        m, chunks = layout.decompose_batch(offsets, counts)
-        assert int(m.sum()) == len(chunks)
-        assert int(chunks["nbytes"].sum()) == int(counts.sum())
-        pos = 0
-        for i, (offset, count) in enumerate(reqs):
-            scalar = layout.decompose(offset, count)
-            assert m[i] == len(scalar)
-            for chunk in scalar:
-                row = chunks[pos]
-                pos += 1
-                assert (
-                    int(row["ionode"]),
-                    int(row["disk_offset"]),
-                    int(row["nbytes"]),
-                    int(row["logical_offset"]),
-                ) == (chunk.ionode, chunk.disk_offset, chunk.nbytes,
-                      chunk.logical_offset)
-        assert pos == len(chunks)
-
-    @given(layouts(), extents)
-    @settings(max_examples=60, deadline=None)
-    def test_chunk_geometry_is_self_consistent(self, layout, reqs):
-        """Each chunk's head maps back through the point-mapping functions."""
-        offsets = np.fromiter((o for o, _ in reqs), np.int64, len(reqs))
-        counts = np.fromiter((c for _, c in reqs), np.int64, len(reqs))
-        _, chunks = layout.decompose_batch(offsets, counts)
-        for row in chunks:
-            logical = int(row["logical_offset"])
-            assert layout.ionode_of(logical) == int(row["ionode"])
-            assert layout.disk_address(logical) == int(row["disk_offset"])
-            assert int(row["nbytes"]) > 0 or not len(chunks)
-
-
-# -- service_batch vs scalar service_time --------------------------------------
-class TestServiceBatch:
-    @given(requests)
-    @settings(max_examples=150, deadline=None)
-    def test_disk_bit_identical_and_same_state(self, reqs):
-        batch_disk, scalar_disk = Disk(), Disk()
-        offsets = np.fromiter((o for o, _ in reqs), np.int64, len(reqs))
-        sizes = np.fromiter((s for _, s in reqs), np.int64, len(reqs))
-        batch = batch_disk.service_batch(offsets, sizes)
-        scalar = [scalar_disk.service_time(o, s) for o, s in reqs]
-        assert batch.tolist() == scalar  # exact float equality, not approx
-        assert batch_disk.head_pos == scalar_disk.head_pos
-        assert batch_disk.seek_bytes == scalar_disk.seek_bytes
-
-    @given(requests, st.sampled_from(("healthy", "degraded", "slow")))
-    @settings(max_examples=150, deadline=None)
-    def test_raid_bit_identical_across_states(self, reqs, state):
-        batch_arm, scalar_arm = Raid3Array(), Raid3Array()
-        for arm in (batch_arm, scalar_arm):
-            if state == "degraded":
-                arm.fail_disk()
-            elif state == "slow":
-                arm.set_slow(2.5)
-        offsets = np.fromiter((o for o, _ in reqs), np.int64, len(reqs))
-        sizes = np.fromiter((s for _, s in reqs), np.int64, len(reqs))
-        batch = batch_arm.service_batch(offsets, sizes)
-        scalar = [scalar_arm.service_time(o, s) for o, s in reqs]
-        assert batch.tolist() == scalar
-        assert batch_arm._arm.head_pos == scalar_arm._arm.head_pos
 
 
 class TestEagerIONodeCohort:
@@ -155,7 +63,7 @@ class TestEagerIONodeCohort:
         eager_times, eager_node = self._sequential(True, reqs)
         scalar_times, scalar_node = self._sequential(False, reqs)
         assert eager_times == scalar_times  # exact, per-request
-        for attr in ("busy_time", "requests_served", "bytes_served"):
+        for attr in ("busy_time", "requests_served", "bytes_served", "size_buckets"):
             assert getattr(eager_node, attr) == getattr(scalar_node, attr)
         assert eager_node.array._arm.head_pos == scalar_node.array._arm.head_pos
 
@@ -166,15 +74,15 @@ class TestEagerIONodeCohort:
         env = Environment()
         node = IONode(env, 0)
         node._eager = True  # exercise the batch path even under REPRO_NO_BATCH
-        offsets = np.fromiter((o for o, _ in reqs), np.int64, len(reqs))
-        sizes = np.fromiter((s for _, s in reqs), np.int64, len(reqs))
+        offsets = [o for o, _ in reqs]
+        sizes = [s for _, s in reqs]
         done_at = []
         node.submit_batch(offsets, sizes, True).callbacks.append(
             lambda _ev: done_at.append(env.now)
         )
         env.run()
         assert done_at == [scalar_times[-1]]
-        for attr in ("busy_time", "requests_served", "bytes_served"):
+        for attr in ("busy_time", "requests_served", "bytes_served", "size_buckets"):
             assert getattr(node, attr) == getattr(scalar_node, attr)
         assert node.array._arm.head_pos == scalar_node.array._arm.head_pos
 

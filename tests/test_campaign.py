@@ -79,6 +79,61 @@ class TestRunSpecHash:
         assert exp.machine_factory().config.seed == 11
 
 
+_GOLDEN_RUN_HASHES = os.path.join(
+    os.path.dirname(__file__), "data", "golden_run_hashes.json"
+)
+
+#: Fixed bytes for the trace axis: the run hash covers the content digest.
+_TRACE_BYTES = (
+    b'{"time": 0.0, "node": 0, "op": "write", "file": "a.dat", '
+    b'"offset": 0, "nbytes": 4096, "duration": 0.001}\n'
+)
+
+
+def _optional_axis_matrix(trace_path: str) -> dict[str, RunSpec]:
+    """Each optional RunSpec axis alone, all of them together, and none."""
+    from repro.faults import FaultPlan, NodeOutage
+
+    faults = FaultPlan(outages=(NodeOutage(0, 1.0, 2.0),))
+    axes = {
+        "faults": {"faults": faults},
+        "telemetry": {"telemetry": 0.5},
+        "burst_buffer": {"burst_buffer": 64 * 1024 * 1024},
+        "fidelity": {"fidelity": "fluid"},
+        "spans": {"spans": True},
+    }
+    base = {"app": "escat", "fs": "ppfs", "policy": "escat_tuned", "seed": 7}
+    matrix = {"none": RunSpec(**base)}
+    for name, kwargs in axes.items():
+        matrix[name] = RunSpec(**base, **kwargs)
+    matrix["trace"] = RunSpec("trace", trace=trace_path)
+    everything = {k: v for kw in axes.values() for k, v in kw.items()}
+    matrix["all"] = RunSpec(**{**base, "app": "trace"}, trace=trace_path, **everything)
+    return matrix
+
+
+class TestRunSpecGolden:
+    """Run hashes and labels are pinned: a changed canonical form would
+    silently orphan every cached campaign entry."""
+
+    def test_hashes_and_labels_match_golden(self, tmp_path):
+        trace = tmp_path / "pinned.jsonl"
+        trace.write_bytes(_TRACE_BYTES)
+        with open(_GOLDEN_RUN_HASHES) as fh:
+            golden = json.load(fh)
+        got = {
+            name: {"run_hash": spec.run_hash, "label": spec.label()}
+            for name, spec in _optional_axis_matrix(str(trace)).items()
+        }
+        assert got == golden
+
+    def test_falsy_axes_hash_like_absent_ones(self):
+        plain = RunSpec("escat")
+        for kwargs in ({"telemetry": 0}, {"burst_buffer": 0},
+                       {"fidelity": "event"}, {"spans": False}):
+            assert RunSpec("escat", **kwargs).run_hash == plain.run_hash
+
+
 class TestCampaignSpec:
     def test_pfs_policy_combos_dropped(self):
         spec = CampaignSpec(apps=("escat",), filesystems=("pfs", "ppfs"),
@@ -159,6 +214,21 @@ class TestRunner:
         assert first.executed == 6 and first.cached == 0 and first.ok
         second = CampaignRunner(self.GRID, str(tmp_path), quiet=True).run()
         assert second.cached == 6 and second.executed == 0 and second.ok
+
+    def test_corrupt_metrics_entry_is_evicted_and_rerun(self, tmp_path):
+        grid = CampaignSpec(name="one", apps=("escat",), filesystems=("pfs",))
+        (spec,) = grid.expand()
+        CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        path = os.path.join(str(tmp_path), spec.run_hash, "metrics.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])  # truncated mid-write
+        again = CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        assert again.ok and again.executed == 1 and again.cached == 0
+        third = CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        assert third.cached == 1
+        assert third.manifest.records[0].metrics == again.manifest.records[0].metrics
 
     def test_extending_grid_is_incremental(self, tmp_path):
         CampaignRunner(self.GRID, str(tmp_path), quiet=True).run()

@@ -89,6 +89,20 @@ class TestMakespanAgreement:
             assert phase["end"] >= phase["start"]
             assert phase["parties"] >= 1
 
+    @pytest.mark.parametrize("app", FLUID_APPS)
+    def test_ionode_statistics_match_event_fidelity(self, app):
+        """The closed form serves the same requests, request for request:
+        per-I/O-node counts, bytes and size histograms equal the
+        discrete run's (only the timing is approximate)."""
+        event = _run(app)
+        fluid = _run(app, fidelity="fluid")
+        assert fluid.fs.fluid.phases_solved > 0
+        for ev_ion, fl_ion in zip(event.fs.machine.ionodes, fluid.fs.machine.ionodes):
+            for attr in ("requests_served", "bytes_served", "size_buckets"):
+                assert getattr(fl_ion, attr) == getattr(ev_ion, attr), (
+                    f"{app}: I/O node {ev_ion.index} {attr} differs"
+                )
+
     def test_render_passes_through_byte_identical(self):
         """No fluid hints -> the servicer is idle and the trace is golden."""
         result = _run("render", fidelity="fluid")
