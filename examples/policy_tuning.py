@@ -30,11 +30,11 @@ def capture_escat():
 
 
 def what_if(trace, name, policies):
-    factory = (lambda m: PPFS(m, policies=policies)) if policies else None
     result = replay_trace(
         trace,
         machine_factory=lambda: small_machine(nodes=16, io_nodes=8),
-        fs_factory=factory,
+        filesystem="pfs" if policies is None else "ppfs",
+        policies=policies,
     )
     table = OperationTable(result.trace)
     ws = table.row("Write").node_time_s + table.row("Seek").node_time_s

@@ -41,21 +41,17 @@ from typing import Optional
 
 from .analysis.report import CharacterizationReport
 from .analysis.resilience import ResilienceReport
+from .apps.trace import THINK_TIMES
 from .campaign.cache import ResultCache
 from .campaign.runner import CampaignRunner, code_version
-from .campaign.spec import CampaignSpec
+from .campaign.spec import CampaignSpec, RunSpec
 from .core.compare import CrossAppComparison
-from .core.registry import (
-    APPLICATIONS,
-    paper_experiment,
-    production_experiment,
-    small_experiment,
-)
-from .core.replay import THINK_TIMES, replay_trace
+from .core.experiment import check_filesystem
+from .core.registry import APPLICATIONS, SCALES
+from .core.replay import replay_trace
 from .faults.plan import DiskFailure, FaultPlan, NodeOutage, RequestDrops
 from .pablo.trace import Trace
 from .ppfs.policies import PPFSPolicies
-from .ppfs.server import PPFS
 from .util import csv_list, parse_size
 
 __all__ = ["main"]
@@ -103,9 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an application and characterize it")
     run.add_argument("app", choices=sorted(APPLICATIONS))
-    run.add_argument(
-        "--scale", choices=["paper", "small", "production"], default="small"
-    )
+    run.add_argument("--scale", choices=list(SCALES), default="small")
     run.add_argument("--fs", choices=["pfs", "ppfs"], default="pfs")
     run.add_argument("--policies", choices=PPFSPolicies.presets(), default=None)
     run.add_argument("--save-dir", default=None, metavar="DIR",
@@ -168,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "replay", help="ingest an external trace and replay it (alias of "
         "'replay' that prints ingest statistics first)"
     )
-    irep.add_argument("src", help="input trace (.jsonl/.csv/.sddf)")
+    irep.add_argument("trace", metavar="src", help="input trace (.jsonl/.csv/.sddf)")
     irep.add_argument("--fs", choices=["pfs", "ppfs"], default="pfs")
     irep.add_argument("--policies", choices=PPFSPolicies.presets(), default=None)
     irep.add_argument("--think", choices=THINK_TIMES, default="preserve")
@@ -306,10 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policies(name: Optional[str]) -> Optional[PPFSPolicies]:
-    return PPFSPolicies.from_name(name) if name else None
-
-
 def _load_fault_plan(text: str) -> FaultPlan:
     """A fault plan from a JSON file path or inline JSON text."""
     if os.path.exists(text):
@@ -317,58 +307,37 @@ def _load_fault_plan(text: str) -> FaultPlan:
     return FaultPlan.from_json(text)
 
 
-def _cmd_run(args) -> int:
-    build = {
-        "paper": paper_experiment,
-        "small": small_experiment,
-        "production": production_experiment,
-    }[args.scale]
-    kwargs = {}
-    if args.fs == "ppfs":
-        kwargs["filesystem"] = "ppfs"
-        kwargs["policies"] = _policies(args.policies) or PPFSPolicies()
-    elif args.policies:
-        print("--policies requires --fs ppfs", file=sys.stderr)
-        return 2
-    if args.faults:
-        try:
-            kwargs["faults"] = _load_fault_plan(args.faults)
-        except (OSError, ValueError) as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
-    if args.telemetry is not None:
-        try:
-            kwargs["telemetry"] = (
-                True if args.telemetry is True else float(args.telemetry)
-            )
-        except ValueError:
-            print(f"bad telemetry cadence: {args.telemetry!r}", file=sys.stderr)
-            return 2
-    if args.burst_buffer is not None:
-        try:
-            kwargs["burst_buffer"] = (
-                True if args.burst_buffer is True else _parse_size(args.burst_buffer)
-            )
-        except argparse.ArgumentTypeError as exc:
-            print(f"bad burst-buffer capacity: {exc}", file=sys.stderr)
-            return 2
-    if args.fidelity is not None:
-        kwargs["fidelity"] = args.fidelity
-    if args.spans:
-        kwargs["spans"] = True
-    if args.app == "trace":
-        if not args.input:
-            print("the trace app needs --input FILE", file=sys.stderr)
-            return 2
-        from .apps.trace import TraceReplayConfig
+def _option(name: str, parse, value):
+    """``parse(value)`` for a flag given a value; None (flag absent) and
+    True (flag given bare) pass through.  A parse failure is re-raised as
+    a ValueError that names the flag."""
+    if value is None or value is True:
+        return value
+    try:
+        return parse(value)
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"bad {name} {value!r}: {exc}") from None
 
-        kwargs["config"] = TraceReplayConfig(
-            source=args.input, think_time=args.think
+
+def _cmd_run(args) -> int:
+    try:
+        spec = RunSpec(
+            app=args.app,
+            scale=args.scale,
+            fs=args.fs,
+            policy=args.policies,
+            overrides={"think_time": args.think} if args.app == "trace" else {},
+            faults=_option("--faults", _load_fault_plan, args.faults),
+            telemetry=_option("--telemetry", float, args.telemetry),
+            burst_buffer=_option("--burst-buffer", _parse_size, args.burst_buffer),
+            fidelity=args.fidelity,
+            spans=args.spans or None,
+            trace=args.input,
         )
-    elif args.input:
-        print("--input applies to the trace app only", file=sys.stderr)
+    except ValueError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
         return 2
-    result = build(args.app, **kwargs).run()
+    result = spec.build_experiment().run()
     for name, trace in result.traces.items():
         print(CharacterizationReport(trace).render())
         print()
@@ -433,15 +402,23 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    """``repro replay`` and ``repro ingest replay`` (which also prints
+    ingest statistics)."""
     from .ingest import load_trace
 
-    trace = load_trace(args.trace)
-    policies = _policies(args.policies)
-    if args.fs == "ppfs":
-        fs_factory = lambda m: PPFS(m, policies=policies or PPFSPolicies())  # noqa: E731
-    else:
-        fs_factory = None
-    result = replay_trace(trace, fs_factory=fs_factory, think_time=args.think)
+    policies = PPFSPolicies.from_name(args.policies) if args.policies else None
+    try:
+        check_filesystem(args.fs, policies)
+        trace = load_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        print(f"repro replay: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "ingest":
+        print(f"ingested: {trace.summary_line()} "
+              f"({trace.nodes} nodes, {len(trace.file_names)} files)")
+    result = replay_trace(
+        trace, filesystem=args.fs, policies=policies, think_time=args.think
+    )
     print(f"replayed {len(trace)} events from {trace.application!r}")
     print(f"I/O node-time ratio (new/original): {result.io_time_ratio:.3f}")
     print(f"makespan ratio (new/original):      {result.makespan_ratio:.3f}")
@@ -470,20 +447,6 @@ def _cmd_ingest_convert(args) -> int:
         return 2
     print(f"written: {args.dst} ({written} records)")
     return 0
-
-
-def _cmd_ingest_replay(args) -> int:
-    from .ingest import load_trace
-
-    try:
-        trace = load_trace(args.src)
-    except (OSError, ValueError) as exc:
-        print(f"bad trace {args.src!r}: {exc}", file=sys.stderr)
-        return 2
-    print(f"ingested: {trace.summary_line()} "
-          f"({trace.nodes} nodes, {len(trace.file_names)} files)")
-    args.trace = args.src
-    return _cmd_replay(args)
 
 
 def _cmd_campaign_run(args) -> int:
@@ -842,7 +805,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "ingest":
         handler = {
             "convert": _cmd_ingest_convert,
-            "replay": _cmd_ingest_replay,
+            "replay": _cmd_replay,
         }[args.ingest_command]
         return handler(args)
     handler = {

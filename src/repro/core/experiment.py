@@ -4,7 +4,12 @@ One declarative record (:class:`Experiment`) names everything a run
 needs; ``run()`` assembles the machine, file system (PFS or PPFS with
 policies), Pablo instrumentation and application skeleton, executes the
 simulation and returns the trace(s) plus handles for deeper inspection.
-This is the entry point the benches, examples and tests share.
+
+This module is the one place a run is assembled.  The CLI and campaigns
+reach it through :class:`repro.campaign.spec.RunSpec`, trace replay
+through :func:`repro.core.replay.replay_trace`, and the vfs
+:class:`~repro.vfs.SimMachine` through the same helpers ``run()`` uses
+(:func:`build_machine`, :func:`build_filesystem`, :class:`RunAttachments`).
 """
 
 from __future__ import annotations
@@ -14,17 +19,11 @@ from typing import Any, Callable, Optional
 
 from ..apps.checkpoint import Checkpoint, CheckpointConfig
 from ..apps.escat import Escat, EscatConfig
-from ..apps.htf import HartreeFock, HTFConfig, HTFResult
+from ..apps.htf import PROGRAMS as HTF_PROGRAMS
+from ..apps.htf import HTFConfig
 from ..apps.render import Render, RenderConfig
 from ..apps.trace import TraceReplay, TraceReplayConfig
-from ..apps.workloads import (
-    paper_checkpoint,
-    paper_escat,
-    paper_htf,
-    paper_machine,
-    paper_render,
-    paper_trace,
-)
+from ..apps.workloads import paper_machine
 from ..machine.paragon import Paragon
 from ..pablo.capture import InstrumentedPFS
 from ..pablo.trace import Trace
@@ -36,6 +35,10 @@ from ..ppfs.server import PPFS
 __all__ = [
     "Experiment",
     "ExperimentResult",
+    "RunAttachments",
+    "build_filesystem",
+    "build_machine",
+    "check_filesystem",
     "normalize_telemetry",
     "normalize_burst_buffer",
     "normalize_spans",
@@ -86,13 +89,110 @@ def normalize_burst_buffer(spec: Any) -> Any:
         return BurstBufferParams(**spec)
     return BurstBufferParams(capacity_bytes=int(spec))
 
-_APP_DEFAULTS: dict[str, Callable[[], Any]] = {
-    "escat": paper_escat,
-    "render": paper_render,
-    "htf": paper_htf,
-    "checkpoint": paper_checkpoint,
-    "trace": paper_trace,
+
+#: app -> (workload config type, programs as (trace key, skeleton) pairs).
+#: The programs run in order on one machine, each under its own Pablo
+#: capture; a default-constructed config is the paper's run.
+_PROGRAMS: dict[str, tuple[type, tuple[tuple[str, type], ...]]] = {
+    "escat": (EscatConfig, (("escat", Escat),)),
+    "render": (RenderConfig, (("render", Render),)),
+    "htf": (HTFConfig, HTF_PROGRAMS),
+    "checkpoint": (CheckpointConfig, (("checkpoint", Checkpoint),)),
+    "trace": (TraceReplayConfig, (("trace", TraceReplay),)),
 }
+
+
+def check_filesystem(filesystem: str, policies: Optional[PPFSPolicies]) -> None:
+    """Reject a file-system choice that cannot be built."""
+    if filesystem not in ("pfs", "ppfs"):
+        raise ValueError(f"filesystem must be pfs/ppfs, got {filesystem!r}")
+    if policies is not None and filesystem != "ppfs":
+        raise ValueError("policies require filesystem='ppfs'")
+
+
+def build_machine(machine_factory: Callable[[], Paragon], burst_buffer: Any = None) -> Paragon:
+    """A fresh machine, with the burst-buffer tier when one is asked for."""
+    machine = machine_factory()
+    params = normalize_burst_buffer(burst_buffer)
+    if params is not None and machine.burstbuffer is None:
+        # Attach the tier before the file system is built (the fs picks
+        # up machine.burstbuffer in its constructor).
+        from ..machine.burstbuffer import BurstBuffer
+
+        machine.burstbuffer = BurstBuffer(machine.env, params)
+    return machine
+
+
+def build_filesystem(
+    machine: Paragon,
+    filesystem: str = "pfs",
+    policies: Optional[PPFSPolicies] = None,
+    costs: Optional[CostModel] = None,
+    track_content: bool = False,
+) -> PFS:
+    """The (uninstrumented) PFS or PPFS on ``machine``."""
+    if filesystem == "ppfs":
+        return PPFS(machine, policies=policies, costs=costs, track_content=track_content)
+    return PFS(machine, costs=costs, track_content=track_content)
+
+
+class RunAttachments:
+    """The optional machinery one run attaches to its machine and file
+    system: span recorder, fault injector, fluid servicer and telemetry.
+
+    Constructing it attaches and starts them, in the order they depend on
+    each other; :meth:`finish` closes them over the run's traces.  Every
+    subsystem is imported only when its field is set, so a run without
+    them never loads it.
+    """
+
+    def __init__(
+        self,
+        machine: Paragon,
+        fs: PFS,
+        faults: Any = None,
+        telemetry: Any = None,
+        spans: Any = None,
+        fidelity: str = "event",
+    ):
+        self.spans = normalize_spans(spans)
+        if self.spans is not None:
+            # Attach before the injector starts so its FaultRecorder
+            # picks up the span handle from machine.spans.
+            self.spans.attach(machine, fs)
+        self.injector = None
+        if faults is not None and not faults.empty:
+            from ..faults.inject import FaultInjector
+
+            self.injector = FaultInjector(machine, faults, fs=fs).start()
+        if fidelity == "fluid" and self.injector is None:
+            # An active injector forces event fidelity: the closed form
+            # cannot price a machine whose health changes.
+            from ..sim.fluid import FluidServicer
+
+            fs.fluid = FluidServicer(fs)
+        self.telemetry = normalize_telemetry(telemetry)
+        if self.telemetry is not None:
+            self.telemetry.attach(machine, fs)
+            self.telemetry.start()
+            self.telemetry.profiler.start("simulate")
+
+    def finish(self, traces: dict[str, Trace]) -> None:
+        """Close the run: append the fault recorder's FAULT / RETRY /
+        DEGRADED rows to every trace (so each saved trace is
+        self-describing about the faults it ran under), then finalize
+        telemetry and seal the spans."""
+        if self.injector is not None:
+            self.injector.finalize()
+            rows = self.injector.recorder.rows
+            if rows:
+                for trace in traces.values():
+                    trace.extend(rows)
+        if self.telemetry is not None:
+            self.telemetry.profiler.stop("simulate")
+            self.telemetry.finalize(traces.values())
+        if self.spans is not None:
+            self.spans.seal(traces)
 
 
 @dataclass
@@ -102,6 +202,7 @@ class ExperimentResult:
     machine: Paragon
     fs: PFS
     traces: dict[str, Trace]
+    #: The application skeleton (None for the multi-program htf pipeline).
     app: Any = None
     #: The FaultInjector when the run injected faults (None otherwise).
     injector: Any = None
@@ -185,12 +286,9 @@ class Experiment:
     spans: Any = None
 
     def __post_init__(self) -> None:
-        if self.app not in _APP_DEFAULTS:
-            raise ValueError(f"unknown app {self.app!r}; pick from {sorted(_APP_DEFAULTS)}")
-        if self.filesystem not in ("pfs", "ppfs"):
-            raise ValueError(f"filesystem must be pfs/ppfs, got {self.filesystem!r}")
-        if self.policies is not None and self.filesystem != "ppfs":
-            raise ValueError("policies require filesystem='ppfs'")
+        if self.app not in _PROGRAMS:
+            raise ValueError(f"unknown app {self.app!r}; pick from {sorted(_PROGRAMS)}")
+        check_filesystem(self.filesystem, self.policies)
         self.fidelity = self.fidelity or "event"
         if self.fidelity not in ("event", "fluid"):
             raise ValueError(
@@ -199,128 +297,44 @@ class Experiment:
 
     def build_fs(self, machine: Paragon) -> PFS:
         """The configured (uninstrumented) file system."""
-        if self.filesystem == "ppfs":
-            return PPFS(machine, policies=self.policies, costs=self.costs)
-        return PFS(machine, costs=self.costs)
-
-    def _build_telemetry(self) -> Any:
-        """Normalize the ``telemetry`` field into a Telemetry or None."""
-        return normalize_telemetry(self.telemetry)
-
-    def _build_burst_buffer(self) -> Any:
-        """Normalize the ``burst_buffer`` field into params or None."""
-        return normalize_burst_buffer(self.burst_buffer)
+        return build_filesystem(machine, self.filesystem, self.policies, self.costs)
 
     def run(self) -> ExperimentResult:
         """Execute the experiment; returns traces keyed by program name."""
-        telemetry = self._build_telemetry()
+        config_type, programs = _PROGRAMS[self.app]
+        config = self.config if self.config is not None else config_type()
+        if not isinstance(config, config_type):
+            raise TypeError(
+                f"{self.app} needs {config_type.__name__}, got {type(config).__name__}"
+            )
+        telemetry = normalize_telemetry(self.telemetry)
         profiler = telemetry.profiler if telemetry is not None else None
 
         if profiler is not None:
             profiler.start("build.machine")
-        machine = self.machine_factory()
-        bb_params = self._build_burst_buffer()
-        if bb_params is not None and machine.burstbuffer is None:
-            # Attach the tier before the file system is built (the fs
-            # picks up machine.burstbuffer in its constructor).
-            from ..machine.burstbuffer import BurstBuffer
-
-            machine.burstbuffer = BurstBuffer(machine.env, bb_params)
+        machine = build_machine(self.machine_factory, self.burst_buffer)
         if profiler is not None:
             profiler.stop("build.machine")
             profiler.start("build.fs")
         fs = self.build_fs(machine)
         if profiler is not None:
             profiler.stop("build.fs")
-        config = self.config if self.config is not None else _APP_DEFAULTS[self.app]()
 
-        recorder = normalize_spans(self.spans)
-        if recorder is not None:
-            # Attach before the injector starts so its FaultRecorder
-            # picks up the span handle from machine.spans.
-            recorder.attach(machine, fs)
-
-        injector = None
-        if self.faults is not None and not self.faults.empty:
-            # Imported here so fault-free builds never touch the subsystem.
-            from ..faults.inject import FaultInjector
-
-            injector = FaultInjector(machine, self.faults, fs=fs).start()
-
-        if self.fidelity == "fluid" and injector is None:
-            # Imported here so event-fidelity builds never touch the
-            # subsystem.  An active injector forces event fidelity: the
-            # closed form cannot price a machine whose health changes.
-            from ..sim.fluid import FluidServicer
-
-            fs.fluid = FluidServicer(fs)
-
-        if telemetry is not None:
-            telemetry.attach(machine, fs)
-            telemetry.start()
-            profiler.start("simulate")
-
-        if self.app == "htf":
-            if not isinstance(config, HTFConfig):
-                raise TypeError(f"htf needs HTFConfig, got {type(config).__name__}")
-            result: HTFResult = HartreeFock(machine, fs, config).run()
-            traces = result.programs()
-            self._append_resilience(injector, traces)
-            if telemetry is not None:
-                profiler.stop("simulate")
-                telemetry.finalize(traces.values())
-            if recorder is not None:
-                recorder.seal(traces)
-            return ExperimentResult(
-                machine, fs, traces, injector=injector, telemetry=telemetry,
-                spans=recorder,
-            )
-
-        instrumented = InstrumentedPFS(fs, overhead_s=self.capture_overhead_s)
-        for obs in self.observers:
-            instrumented.add_observer(obs)
-        if self.app == "escat":
-            if not isinstance(config, EscatConfig):
-                raise TypeError(f"escat needs EscatConfig, got {type(config).__name__}")
-            application = Escat(machine=machine, fs=instrumented, config=config)
-        elif self.app == "checkpoint":
-            if not isinstance(config, CheckpointConfig):
-                raise TypeError(
-                    f"checkpoint needs CheckpointConfig, got {type(config).__name__}"
-                )
-            application = Checkpoint(machine=machine, fs=instrumented, config=config)
-        elif self.app == "trace":
-            if not isinstance(config, TraceReplayConfig):
-                raise TypeError(
-                    f"trace needs TraceReplayConfig, got {type(config).__name__}"
-                )
-            application = TraceReplay(machine=machine, fs=instrumented, config=config)
-        else:
-            if not isinstance(config, RenderConfig):
-                raise TypeError(f"render needs RenderConfig, got {type(config).__name__}")
-            application = Render(machine=machine, fs=instrumented, config=config)
-        trace = application.run()
-        traces = {self.app: trace}
-        self._append_resilience(injector, traces)
-        if telemetry is not None:
-            profiler.stop("simulate")
-            telemetry.finalize(traces.values())
-        if recorder is not None:
-            recorder.seal(traces)
-        return ExperimentResult(
-            machine, fs, traces, app=application, injector=injector,
-            telemetry=telemetry, spans=recorder,
+        attached = RunAttachments(
+            machine, fs, faults=self.faults, telemetry=telemetry,
+            spans=self.spans, fidelity=self.fidelity,
         )
-
-    @staticmethod
-    def _append_resilience(injector, traces: dict[str, Trace]) -> None:
-        """Close degraded intervals and append the recorder's FAULT /
-        RETRY / DEGRADED rows to every trace, so each saved trace is
-        self-describing about the faults it ran under."""
-        if injector is None:
-            return
-        injector.finalize()
-        rows = injector.recorder.rows
-        if rows:
-            for trace in traces.values():
-                trace.extend(rows)
+        traces: dict[str, Trace] = {}
+        for key, program in programs:
+            instrumented = InstrumentedPFS(fs, overhead_s=self.capture_overhead_s)
+            for obs in self.observers:
+                instrumented.add_observer(obs)
+            application = program(machine=machine, fs=instrumented, config=config)
+            traces[key] = application.run()
+        attached.finish(traces)
+        return ExperimentResult(
+            machine, fs, traces,
+            app=application if len(programs) == 1 else None,
+            injector=attached.injector, telemetry=attached.telemetry,
+            spans=attached.spans,
+        )

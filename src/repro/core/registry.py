@@ -12,6 +12,7 @@ from ..apps.workloads import (
     paper_checkpoint,
     paper_escat,
     paper_htf,
+    paper_machine,
     paper_render,
     production_checkpoint,
     production_escat,
@@ -31,6 +32,7 @@ from .experiment import Experiment
 
 __all__ = [
     "APPLICATIONS",
+    "SCALES",
     "paper_experiment",
     "small_experiment",
     "production_experiment",
@@ -50,27 +52,36 @@ APPLICATIONS: dict[str, tuple[Callable[[], Any], ...]] = {
 }
 
 
-def paper_experiment(app: str, **kwargs) -> Experiment:
-    """The paper-scale experiment for ``app`` (kwargs override fields)."""
+#: scale -> (machine factory, index of the scale's preset in each
+#: APPLICATIONS row).  The one scale table: the CLI, campaigns and the
+#: vfs harness all resolve a scale name here.
+SCALES: dict[str, tuple[Callable[..., Any], int]] = {
+    "paper": (paper_machine, 0),
+    "small": (small_machine, 1),
+    "production": (production_machine, 2),
+}
+
+
+def _scaled_experiment(scale: str, app: str, **kwargs) -> Experiment:
+    """The ``scale`` experiment for ``app`` (kwargs override fields)."""
     if app not in APPLICATIONS:
         raise KeyError(f"unknown application {app!r}")
-    kwargs.setdefault("config", APPLICATIONS[app][0]())
+    machine, index = SCALES[scale]
+    kwargs.setdefault("machine_factory", machine)
+    kwargs.setdefault("config", APPLICATIONS[app][index]())
     return Experiment(app=app, **kwargs)
+
+
+def paper_experiment(app: str, **kwargs) -> Experiment:
+    """The paper-scale experiment for ``app`` (kwargs override fields)."""
+    return _scaled_experiment("paper", app, **kwargs)
 
 
 def small_experiment(app: str, **kwargs) -> Experiment:
     """A fast, structure-preserving miniature for tests and examples."""
-    if app not in APPLICATIONS:
-        raise KeyError(f"unknown application {app!r}")
-    kwargs.setdefault("machine_factory", small_machine)
-    kwargs.setdefault("config", APPLICATIONS[app][1]())
-    return Experiment(app=app, **kwargs)
+    return _scaled_experiment("small", app, **kwargs)
 
 
 def production_experiment(app: str, **kwargs) -> Experiment:
     """The 2048-node production-scale experiment for ``app``."""
-    if app not in APPLICATIONS:
-        raise KeyError(f"unknown application {app!r}")
-    kwargs.setdefault("machine_factory", production_machine)
-    kwargs.setdefault("config", APPLICATIONS[app][2]())
-    return Experiment(app=app, **kwargs)
+    return _scaled_experiment("production", app, **kwargs)

@@ -10,20 +10,10 @@ and drive it against a different machine/file-system/policy combination
 application's temporal structure survives while the I/O substrate
 changes underneath it.
 
-Semantics
----------
-* Every node's events replay in their original order; offsets are
-  restored with explicit positioning, so data lands where it did.
-* ``think_time='preserve'`` reinserts the original gaps between a node's
-  operations (compute stays compute); ``'none'`` issues back-to-back
-  (measures pure I/O capability for this stream); ``'anchor'`` waits for
-  each operation's original absolute start time (timed replay: start
-  times — and hence the makespan — track the source trace even when the
-  replay configuration re-prices individual calls).
-* Async pairs (AsynchRead + I/O Wait) are matched per (node, file) in
-  FIFO order, as NX semantics guarantee.
-* Files are replayed in M_UNIX mode; coordinated-mode scheduling effects
-  from the original run are already frozen into the event order.
+:func:`replay_trace` runs the ``trace`` application
+(:mod:`repro.apps.trace`, which documents the replay semantics) through
+:class:`~repro.core.experiment.Experiment`, so a replay is assembled
+exactly like every other run.
 """
 
 from __future__ import annotations
@@ -31,26 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from ..apps.trace import TraceReplayConfig
+from ..apps.workloads import paper_machine
 from ..machine.paragon import Paragon
-from ..pablo.capture import InstrumentedPFS
-from ..pablo.events import Op
 from ..pablo.trace import Trace
 from ..pfs.filesystem import PFS
-from ..apps.workloads import paper_machine
+from ..ppfs.policies import PPFSPolicies
+from .experiment import Experiment
 
-__all__ = [
-    "ReplayResult",
-    "replay_trace",
-    "node_streams",
-    "replay_node",
-    "prepare_replay_files",
-    "THINK_TIMES",
-]
-
-#: Accepted ``think_time`` values (see module docstring).
-THINK_TIMES = ("preserve", "none", "anchor")
+__all__ = ["ReplayResult", "replay_trace"]
 
 
 @dataclass
@@ -75,137 +54,11 @@ class ReplayResult:
         return self.trace.duration / self.original.duration if self.original.duration else 0.0
 
 
-def node_streams(trace: Trace) -> dict[int, np.ndarray]:
-    """Per-node event arrays in timestamp order."""
-    ev = trace.events
-    streams: dict[int, np.ndarray] = {}
-    for node in np.unique(ev["node"]):
-        sel = ev[ev["node"] == node]
-        order = np.argsort(sel["timestamp"], kind="stable")
-        streams[int(node)] = sel[order]
-    return streams
-
-
-def replay_node(
-    fs: InstrumentedPFS,
-    node: int,
-    events: np.ndarray,
-    think_time: str = "preserve",
-    path_of: Optional[Callable[[int], str]] = None,
-    base: float = 0.0,
-):
-    """Generator process replaying one node's stream.
-
-    ``path_of`` maps a file id to the path opened during replay (default:
-    the ``/replay/fileN`` namespace).  ``think_time`` is one of
-    :data:`THINK_TIMES`.  ``base`` is the trace-global first timestamp —
-    the instant anchored replay maps onto the current simulated time (it
-    keeps inter-node alignment when a node starts late in the original).
-    """
-    env = fs.env
-    naming = path_of if path_of is not None else _default_path
-    preserve = think_time == "preserve"
-    anchor = think_time == "anchor"
-    epoch = env.now
-    fds: dict[int, int] = {}  # file_id -> replay fd
-    pending: dict[int, list] = {}  # file_id -> FIFO of aread handles
-    prev_end: Optional[float] = None
-
-    def fd_for(file_id: int):
-        fd = fds.get(file_id)
-        if fd is None:
-            fd = yield from fs.open(node, naming(file_id), file_id=file_id)
-            fds[file_id] = fd
-        return fd
-
-    for row in events:
-        op = Op(row["op"])
-        file_id = int(row["file_id"])
-        offset = int(row["offset"])
-        nbytes = int(row["nbytes"])
-        if preserve and prev_end is not None:
-            gap = float(row["timestamp"]) - prev_end
-            if gap > 0:
-                yield env.timeout(gap)
-        elif anchor:
-            # Wait out the original absolute start time (first event of
-            # the whole trace = replay epoch); a replay running late
-            # issues immediately and re-anchors at the next opportunity.
-            due = epoch + (float(row["timestamp"]) - base)
-            if due > env.now:
-                yield env.timeout(due - env.now)
-        prev_end = float(row["timestamp"] + row["duration"])
-
-        if op is Op.OPEN:
-            if file_id not in fds:
-                fds[file_id] = yield from fs.open(
-                    node, naming(file_id), file_id=file_id
-                )
-        elif op is Op.CLOSE:
-            fd = fds.pop(file_id, None)
-            if fd is not None:
-                yield from fs.close(node, fd)
-        elif op is Op.READ:
-            fd = yield from fd_for(file_id)
-            if fs.tell(node, fd) != offset:
-                yield from fs.fs.seek(node, fd, offset)  # positioning, not traced
-            yield from fs.read(node, fd, nbytes)
-        elif op is Op.WRITE:
-            fd = yield from fd_for(file_id)
-            if fs.tell(node, fd) != offset:
-                yield from fs.fs.seek(node, fd, offset)
-            yield from fs.write(node, fd, nbytes)
-        elif op is Op.SEEK:
-            fd = yield from fd_for(file_id)
-            yield from fs.seek(node, fd, offset)
-        elif op is Op.AREAD:
-            fd = yield from fd_for(file_id)
-            if fs.tell(node, fd) != offset:
-                yield from fs.fs.seek(node, fd, offset)
-            handle = yield from fs.aread(node, fd, nbytes)
-            pending.setdefault(file_id, []).append(handle)
-        elif op is Op.IOWAIT:
-            queue = pending.get(file_id)
-            if queue:
-                yield from fs.iowait(node, queue.pop(0))
-        elif op is Op.LSIZE:
-            fd = yield from fd_for(file_id)
-            yield from fs.lsize(node, fd)
-        elif op is Op.FLUSH:
-            fd = yield from fd_for(file_id)
-            yield from fs.flush(node, fd)
-    # Leave dangling fds open (mirrors programs that exit without close);
-    # drain any unawaited async reads so the simulation terminates.
-    for queue in pending.values():
-        for handle in queue:
-            yield from fs.iowait(node, handle)
-
-
-def _default_path(file_id: int) -> str:
-    """The replay namespace path for a file id."""
-    return f"/replay/file{file_id}"
-
-
-def prepare_replay_files(
-    fs: PFS,
-    trace: Trace,
-    path_of: Optional[Callable[[int], str]] = None,
-) -> None:
-    """Pre-create every file the trace touches at its maximum data
-    extent, with its original file id, so replayed reads see data."""
-    naming = path_of if path_of is not None else _default_path
-    ev = trace.events
-    for file_id in np.unique(ev["file_id"]):
-        sel = ev[ev["file_id"] == file_id]
-        data = sel[np.isin(sel["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)])]
-        size = int((data["offset"] + data["nbytes"]).max()) if len(data) else 0
-        fs.ensure(naming(int(file_id)), file_id=int(file_id), size=size)
-
-
 def replay_trace(
     trace: Trace,
     machine_factory: Callable[[], Paragon] = paper_machine,
-    fs_factory: Optional[Callable[[Paragon], PFS]] = None,
+    filesystem: str = "pfs",
+    policies: Optional[PPFSPolicies] = None,
     think_time: str = "preserve",
 ) -> ReplayResult:
     """Replay ``trace`` on a fresh machine/file system.
@@ -216,42 +69,21 @@ def replay_trace(
         The captured request stream.
     machine_factory:
         Builds the replay machine (defaults to the paper partition).
-    fs_factory:
-        Builds the file system on that machine (defaults to plain PFS);
-        pass e.g. ``lambda m: PPFS(m, policies=...)`` for what-if runs.
+    filesystem / policies:
+        As in :class:`~repro.core.experiment.Experiment`: 'pfs' (the
+        default) or 'ppfs', with optional PPFS policies for what-if runs.
     think_time:
         'preserve' reinserts original inter-op gaps; 'none' replays
         back-to-back; 'anchor' starts each call at its original absolute
         time (timed replay).
     """
-    if think_time not in THINK_TIMES:
-        raise ValueError(
-            f"think_time must be one of {'/'.join(THINK_TIMES)}, got {think_time!r}"
-        )
-    machine = machine_factory()
-    fs = fs_factory(machine) if fs_factory is not None else PFS(machine)
-    instrumented = InstrumentedPFS(
-        fs, trace=Trace(f"{trace.application}-replay", nodes=trace.nodes)
-    )
-
-    # Pre-create every file at its original size so reads see data.
-    prepare_replay_files(fs, trace)
-
-    ev = trace.events
-    base = float(ev["timestamp"].min()) if len(ev) else 0.0
-    start = machine.env.now
-    procs = [
-        machine.env.process(
-            replay_node(instrumented, node, events, think_time, base=base),
-            name=f"replay.n{node}",
-        )
-        for node, events in node_streams(trace).items()
-    ]
-    machine.run()
-    for p in procs:
-        if p.is_alive:
-            raise RuntimeError(f"replay process {p.name} never finished")
-        if not p.ok:
-            raise p.value
-    del start
-    return ReplayResult(machine, fs, instrumented.trace, trace)
+    result = Experiment(
+        app="trace",
+        config=TraceReplayConfig(trace=trace, think_time=think_time),
+        machine_factory=machine_factory,
+        filesystem=filesystem,
+        policies=policies,
+    ).run()
+    replayed = result.trace
+    replayed.application = f"{trace.application}-replay"
+    return ReplayResult(result.machine, result.fs, replayed, trace)

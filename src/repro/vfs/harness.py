@@ -1,11 +1,11 @@
 """The bring-your-own-app harness: run real Python programs on the
 simulated machine.
 
-:class:`SimMachine` assembles exactly what :class:`repro.core.Experiment`
-would — machine, PFS or PPFS with policy presets, optional burst-buffer
-tier, fault injection, telemetry, Pablo instrumentation — then executes
-*user-written Python callables* against it instead of a built-in
-skeleton.  Each registered program gets a compute node, a worker thread,
+:class:`SimMachine` assembles what :class:`repro.core.Experiment` would,
+with the same helpers — machine, PFS or PPFS with policy presets,
+optional burst-buffer tier, fault injection, telemetry, Pablo
+instrumentation — then executes *user-written Python callables* against
+it instead of a built-in skeleton.  Each registered program gets a compute node, a worker thread,
 and a :class:`~repro.vfs.filesystem.SimFileSystem`; the program's
 ordinary blocking file calls take simulated time, and the run produces a
 standard Pablo :class:`~repro.pablo.trace.Trace` the existing
@@ -31,26 +31,24 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Optional
 
-from ..apps.workloads import paper_machine, production_machine, small_machine
-from ..core.experiment import normalize_burst_buffer, normalize_telemetry
+from ..core.experiment import (
+    RunAttachments,
+    build_filesystem,
+    build_machine,
+    check_filesystem,
+)
+from ..core.registry import SCALES
 from ..machine.paragon import Paragon
 from ..pablo.capture import InstrumentedPFS
 from ..pablo.trace import Trace
 from ..pfs.costs import CostModel
 from ..pfs.filesystem import PFS
 from ..ppfs.policies import PPFSPolicies
-from ..ppfs.server import PPFS
 from ..sim.resources import Barrier
 from .bridge import Channel, ProgramCrashed, pump
 from .filesystem import NodeExecutor, SimFileSystem
 
 __all__ = ["SimMachine", "VfsResult"]
-
-_MACHINES: dict[str, Callable[[], Paragon]] = {
-    "paper": paper_machine,
-    "small": small_machine,
-    "production": production_machine,
-}
 
 
 class VfsResult:
@@ -118,31 +116,19 @@ class SimMachine:
         name: str = "byoapp",
     ):
         if machine_factory is None:
-            if scale not in _MACHINES:
+            if scale not in SCALES:
                 raise ValueError(
-                    f"scale must be one of {sorted(_MACHINES)}, got {scale!r}"
+                    f"scale must be one of {sorted(SCALES)}, got {scale!r}"
                 )
-            machine_factory = _MACHINES[scale]
-        if filesystem not in ("pfs", "ppfs"):
-            raise ValueError(f"filesystem must be pfs/ppfs, got {filesystem!r}")
-        if policies is not None and filesystem != "ppfs":
-            raise ValueError("policies require filesystem='ppfs'")
+            machine_factory = SCALES[scale][0]
+        check_filesystem(filesystem, policies)
         self.name = name
         self.track_content = track_content
         self.capture_overhead_s = capture_overhead_s
-        self.machine: Paragon = machine_factory()
-        bb_params = normalize_burst_buffer(burst_buffer)
-        if bb_params is not None and self.machine.burstbuffer is None:
-            from ..machine.burstbuffer import BurstBuffer
-
-            self.machine.burstbuffer = BurstBuffer(self.machine.env, bb_params)
-        if filesystem == "ppfs":
-            self.fs: PFS = PPFS(
-                self.machine, policies=policies, costs=costs,
-                track_content=track_content,
-            )
-        else:
-            self.fs = PFS(self.machine, costs=costs, track_content=track_content)
+        self.machine: Paragon = build_machine(machine_factory, burst_buffer)
+        self.fs: PFS = build_filesystem(
+            self.machine, filesystem, policies, costs, track_content
+        )
         self.instrumented = InstrumentedPFS(
             self.fs, trace=Trace(application=name), overhead_s=capture_overhead_s
         )
@@ -203,16 +189,9 @@ class SimMachine:
         self._ran = True
         env = self.machine.env
 
-        injector = None
-        if self._faults is not None and not self._faults.empty:
-            from ..faults.inject import FaultInjector
-
-            injector = FaultInjector(self.machine, self._faults, fs=self.fs).start()
-
-        telemetry = normalize_telemetry(self._telemetry_spec)
-        if telemetry is not None:
-            telemetry.attach(self.machine, self.fs)
-            telemetry.start()
+        attached = RunAttachments(
+            self.machine, self.fs, faults=self._faults, telemetry=self._telemetry_spec
+        )
 
         barrier = Barrier(env, len(self._programs))
         channels: list[Channel] = []
@@ -276,20 +255,15 @@ class SimMachine:
                     raise exc.__cause__
                 raise exc
 
-        if injector is not None:
-            injector.finalize()
-            rows = injector.recorder.rows
-            if rows:
-                self.instrumented.trace.extend(rows)
-        if telemetry is not None:
-            telemetry.finalize([self.instrumented.trace])
+        trace = self.instrumented.trace
+        attached.finish({self.name: trace})
         return VfsResult(
             self.machine,
             self.fs,
-            self.instrumented.trace,
+            trace,
             self.name,
-            injector=injector,
-            telemetry=telemetry,
+            injector=attached.injector,
+            telemetry=attached.telemetry,
         )
 
 

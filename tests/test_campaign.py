@@ -78,6 +78,20 @@ class TestRunSpecHash:
         assert exp.config.iterations == 2
         assert exp.machine_factory().config.seed == 11
 
+    def test_telemetry_true_means_default_cadence(self):
+        """``telemetry=True`` samples at the same cadence as it does for
+        ``Experiment`` and ``repro run --telemetry``."""
+        from repro.core.experiment import normalize_telemetry
+        from repro.telemetry import DEFAULT_CADENCE_S
+
+        spec = RunSpec("escat", telemetry=True)
+        assert spec.telemetry == DEFAULT_CADENCE_S
+        assert spec.run_hash == RunSpec("escat", telemetry=DEFAULT_CADENCE_S).run_hash
+        built = spec.build_experiment().telemetry
+        assert normalize_telemetry(built).cadence_s == (
+            normalize_telemetry(small_experiment("escat", telemetry=True).telemetry).cadence_s
+        )
+
 
 _GOLDEN_RUN_HASHES = os.path.join(
     os.path.dirname(__file__), "data", "golden_run_hashes.json"

@@ -78,6 +78,23 @@ class TestExperiment:
         perturbed = slow.run()
         assert perturbed.machine.now > base.machine.now
 
+    def test_htf_applies_instrumentation_settings(self):
+        """Every HTF program runs under the experiment's capture overhead
+        and observers, like the single-program apps."""
+        seen = []
+
+        class Observer:
+            def observe(self, *event):
+                seen.append(event)
+
+        base = small_experiment("htf").run()
+        slow = small_experiment("htf", capture_overhead_s=0.005, observers=[Observer()])
+        perturbed = slow.run()
+        assert perturbed.machine.now > base.machine.now
+        for name, trace in base.traces.items():
+            assert perturbed.traces[name].content_hash() != trace.content_hash(), name
+        assert len(seen) == sum(len(t) for t in perturbed.traces.values())
+
 
 class TestCharacterizationReport:
     def test_sections_present(self):

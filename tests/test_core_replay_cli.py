@@ -7,7 +7,7 @@ from repro.analysis import OperationTable
 from repro.cli import main as cli_main
 from repro.core import replay_trace, small_experiment
 from repro.pablo import Op
-from repro.ppfs import PPFS, PPFSPolicies
+from repro.ppfs import PPFSPolicies
 from tests.conftest import make_machine
 
 
@@ -42,7 +42,8 @@ class TestReplay:
         tuned = replay_trace(
             escat_small.trace,
             machine_factory=make_machine,
-            fs_factory=lambda m: PPFS(m, policies=PPFSPolicies.escat_tuned()),
+            filesystem="ppfs",
+            policies=PPFSPolicies.escat_tuned(),
             think_time="none",
         )
         plain = replay_trace(

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, Progress, RunSpec, run_metrics
+from repro.core.experiment import normalize_telemetry
 from repro.core.registry import small_experiment
 from repro.faults import FaultPlan, RequestDrops
 from repro.pablo.events import Op
@@ -510,14 +511,16 @@ class TestTelemetryRuntime:
         assert escat_telemetry.registry.as_dict() == before
 
     def test_experiment_spec_normalization(self):
-        exp = small_experiment("escat", telemetry=True)
-        assert isinstance(exp._build_telemetry(), Telemetry)
-        assert exp._build_telemetry().cadence_s == DEFAULT_CADENCE_S
-        assert small_experiment("escat", telemetry=2.5)._build_telemetry().cadence_s == 2.5
-        assert small_experiment("escat")._build_telemetry() is None
-        assert small_experiment("escat", telemetry=False)._build_telemetry() is None
+        def built(**kwargs):
+            return normalize_telemetry(small_experiment("escat", **kwargs).telemetry)
+
+        assert isinstance(built(telemetry=True), Telemetry)
+        assert built(telemetry=True).cadence_s == DEFAULT_CADENCE_S
+        assert built(telemetry=2.5).cadence_s == 2.5
+        assert built() is None
+        assert built(telemetry=False) is None
         prepared = Telemetry(cadence_s=3.0)
-        assert small_experiment("escat", telemetry=prepared)._build_telemetry() is prepared
+        assert built(telemetry=prepared) is prepared
 
 
 # -- exporters ---------------------------------------------------------------
