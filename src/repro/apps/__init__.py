@@ -5,7 +5,7 @@ from .base import Application, Collective, PhaseMark
 from .checkpoint import Checkpoint, CheckpointConfig, CheckpointStats
 from .escat import Escat, EscatConfig
 from .escat_science import ScienceEscat, ScienceEscatConfig
-from .htf import HartreeFock, HTFConfig, HTFResult, Pargos, Pscf, Psetup
+from .htf import HTFConfig, Pargos, Pscf, Psetup
 from .htf_science import ScienceHartreeFock, ScienceHTFConfig
 from .render_science import ScienceRender, ScienceRenderConfig
 from .render import Render, RenderConfig
@@ -37,9 +37,7 @@ __all__ = [
     "EscatConfig",
     "ScienceEscat",
     "ScienceEscatConfig",
-    "HartreeFock",
     "HTFConfig",
-    "HTFResult",
     "Pargos",
     "Pscf",
     "Psetup",

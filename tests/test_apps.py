@@ -15,7 +15,6 @@ from repro.apps import (
     Collective,
     Escat,
     EscatConfig,
-    HartreeFock,
     Render,
     RenderConfig,
     small_escat,
@@ -23,6 +22,7 @@ from repro.apps import (
     small_render,
 )
 from repro.apps.escat import INPUT_IDS, OUTPUT_IDS, STAGING_IDS
+from repro.core.registry import small_experiment
 from repro.pablo import InstrumentedPFS, Op
 from repro.pfs import PFS
 from tests.conftest import drive, make_machine
@@ -43,8 +43,10 @@ def run_render(renderers=7, frames=5):
 
 
 def run_htf(nodes=8):
-    machine = make_machine(nodes=nodes)
-    return HartreeFock(machine, PFS(machine), small_htf(nodes)).run()
+    """The three HTF traces keyed by program name."""
+    return small_experiment(
+        "htf", machine_factory=lambda: make_machine(nodes=nodes), config=small_htf(nodes)
+    ).run().traces
 
 
 class TestCollective:
@@ -243,8 +245,8 @@ class TestRenderStructure:
 class TestHTFStructure:
     def test_three_programs_three_traces(self):
         result = run_htf()
-        assert set(result.programs()) == {"psetup", "pargos", "pscf"}
-        for trace in result.programs().values():
+        assert set(result) == {"psetup", "pargos", "pscf"}
+        for trace in result.values():
             assert len(trace) > 0
 
     def test_programs_run_sequentially(self):
@@ -253,46 +255,46 @@ class TestHTFStructure:
             ev = tr.events
             return ev["timestamp"].min(), (ev["timestamp"] + ev["duration"]).max()
 
-        s1, e1 = span(result.psetup)
-        s2, e2 = span(result.pargos)
-        s3, _ = span(result.pscf)
+        s1, e1 = span(result["psetup"])
+        s2, e2 = span(result["pargos"])
+        s3, _ = span(result["pscf"])
         assert e1 <= s2 and e2 <= s3
 
     def test_psetup_balanced_small_io(self):
         result = run_htf()
-        table = OperationTable(result.psetup)
+        table = OperationTable(result["psetup"])
         reads, writes = table.row("Read"), table.row("Write")
         assert reads.count > 0 and writes.count > 0
         assert 0.3 < reads.volume / max(writes.volume, 1) < 3.0
 
     def test_pargos_write_intensive_with_per_node_files(self):
         result = run_htf()
-        table = OperationTable(result.pargos)
+        table = OperationTable(result["pargos"])
         assert table.row("Write").volume > 100 * table.row("Read").volume
         assert table.row("Lsize").count == 8
         assert table.row("Forflush").count > table.row("Write").count * 0.9
 
     def test_pscf_read_intensive(self):
         result = run_htf()
-        table = OperationTable(result.pscf)
+        table = OperationTable(result["pscf"])
         assert table.row("Read").node_time_s / table.total_time > 0.5
         assert table.row("Read").volume > 10 * table.row("Write").volume
 
     def test_pscf_rereads_equal_passes_times_records(self):
         result = run_htf()
         cfg = small_htf(8)
-        record_reads = result.pscf.by_op(Op.READ)
+        record_reads = result["pscf"].by_op(Op.READ)
         big = record_reads[record_reads["nbytes"] == cfg.integral_record_bytes]
         assert len(big) == cfg.scf_passes * cfg.total_records
 
     def test_pscf_rewind_seek_distance_matches_file_size(self):
         result = run_htf()
         cfg = small_htf(8)
-        reads = result.pscf.by_op(Op.READ)
+        reads = result["pscf"].by_op(Op.READ)
         integral_files = set(
             np.unique(reads["file_id"][reads["nbytes"] == cfg.integral_record_bytes])
         )
-        seeks = result.pscf.by_op(Op.SEEK)
+        seeks = result["pscf"].by_op(Op.SEEK)
         on_integrals = seeks[np.isin(seeks["file_id"], list(integral_files))]
         rewinds = on_integrals[on_integrals["nbytes"] > cfg.integral_record_bytes]
         expected_rewinds = (cfg.scf_passes - 1) * cfg.nodes
@@ -304,14 +306,14 @@ class TestHTFStructure:
     def test_integral_files_written_then_reread(self):
         result = run_htf()
         # pargos writes them; pscf reads them: check within the combined view.
-        pargos_files = set(np.unique(result.pargos.events["file_id"]))
-        pscf_files = set(np.unique(result.pscf.events["file_id"]))
+        pargos_files = set(np.unique(result["pargos"].events["file_id"]))
+        pscf_files = set(np.unique(result["pscf"].events["file_id"]))
         assert len(pargos_files & pscf_files) >= 8  # the per-node files
 
     def test_phase_detection_sees_write_then_read_regime(self):
         result = run_htf()
-        pargos_phases = detect_phases(result.pargos, window_s=5.0)
-        pscf_phases = detect_phases(result.pscf, window_s=5.0)
+        pargos_phases = detect_phases(result["pargos"], window_s=5.0)
+        pscf_phases = detect_phases(result["pscf"], window_s=5.0)
         assert any(p.label == "write" for p in pargos_phases)
         assert any(p.label == "read" for p in pscf_phases)
 
