@@ -7,7 +7,15 @@ state: :meth:`Raid3Array.fail_disk` / :meth:`set_slow`,
 disk failures additionally run the *rebuild* loop, reading the lost
 disk's contents back through the node's own request queue so
 reconstruction traffic competes with foreground I/O on the arm — the
-bandwidth tax a real degraded array pays.
+bandwidth tax a real degraded array pays.  Fault timers are kernel
+*background* events: once a program's own events have drained its run
+ends, and a pending fault fires inside whichever program (e.g. the next
+HTF stage) reaches its time, instead of holding the clock in between.
+
+The injector is also the file system's retry domain: :meth:`start` sets
+``fs.retry_domain``, and from then on every chunk of the striped fan-out
+and of the write-behind flusher runs through
+:func:`repro.pfs.retry.issue_with_retry`.
 
 Alongside the state flips, a :class:`FaultRecorder` accumulates
 resilience trace rows (``Op.FAULT`` / ``Op.RETRY`` / ``Op.DEGRADED``)
@@ -27,7 +35,6 @@ from typing import Optional
 
 from ..pablo.events import Op
 from ..pfs.errors import TransientIOError
-from ..pfs.retry import install_retry
 from ..sim.core import Interrupt, Timeout
 from .plan import (
     BufferFault,
@@ -56,7 +63,8 @@ class FaultRecorder:
         self.rows: list[tuple] = []
         #: Span recorder handle (wired by FaultInjector.start when the
         #: experiment records spans): fault flips become zero-length
-        #: ``fault.<kind>`` markers, degraded windows become intervals.
+        #: ``fault.<kind>`` markers, degraded windows and retry waits
+        #: become intervals.
         self.spans = None
 
     def fault(self, ts: float, ionode: int, kind: FaultKind) -> None:
@@ -66,9 +74,19 @@ class FaultRecorder:
 
     def retry(
         self, ts: float, node: int, file_id: int, offset: int, nbytes: int,
-        wait_s: float,
+        failed_at: float, span_parent: float, attempt: int,
     ) -> None:
-        self.rows.append((ts, node, int(Op.RETRY), file_id, offset, nbytes, wait_s))
+        """One re-issue at ``ts`` of a chunk that failed at ``failed_at``
+        on its ``attempt``-th try; with spans on, the wait also becomes a
+        ``retry.backoff`` span under ``span_parent``."""
+        self.rows.append(
+            (ts, node, int(Op.RETRY), file_id, offset, nbytes, ts - failed_at)
+        )
+        if self.spans is not None:
+            self.spans.add(
+                "retry.backoff", node, failed_at, ts, span_parent, nbytes,
+                float(attempt),
+            )
 
     def degraded(self, start_ts: float, ionode: int, seconds: float) -> None:
         self.rows.append(
@@ -93,9 +111,10 @@ class FaultRecorder:
 class FaultInjector:
     """Binds a plan to a machine (and optionally a file system).
 
-    Also serves as the *retry domain* for :func:`repro.pfs.retry.
-    install_retry`: it carries the plan's :class:`RetryPolicy`, the
-    deterministic backoff stream, and the recorder.
+    Also serves as the file system's *retry domain*
+    (``fs.retry_domain``, read by :func:`repro.pfs.retry.issue_with_retry`):
+    it carries the plan's :class:`RetryPolicy`, the deterministic backoff
+    stream, and the recorder.
     """
 
     def __init__(
@@ -116,10 +135,11 @@ class FaultInjector:
         self._procs: list = []
 
     def start(self) -> "FaultInjector":
-        """Validate the plan, install retry, spawn the fault processes.
+        """Validate the plan, hand over the retry domain, spawn the fault
+        processes.
 
-        A no-op for an empty plan: nothing is installed and the run stays
-        byte-identical to a fault-free build.
+        A no-op for an empty plan: nothing is handed over and the run
+        stays byte-identical to a fault-free build.
         """
         plan = self.plan
         plan.validate(len(self.machine.ionodes))
@@ -138,34 +158,49 @@ class FaultInjector:
         for ion in self.machine.ionodes:
             ion._disable_eager()
         if self.fs is not None:
-            install_retry(self.fs, self)
-        env = self.env
-        for df in plan.disk_failures:
+            # From here on every chunk and flush visit retries through
+            # this domain.
+            self.fs.retry_domain = self
+        scheduled = (
+            [(f"fault.disk.{df.ionode}", self._disk_failure, df, df.time_s)
+             for df in plan.disk_failures]
+            + [(f"fault.outage.{o.ionode}", self._outage, o, o.start_s)
+               for o in plan.outages]
+            + [(f"fault.drops.{i}", self._drop_window, d, d.start_s)
+               for i, d in enumerate(plan.drops)]
+            + [(f"fault.bb.{i}", self._buffer_fault, bf, bf.time_s)
+               for i, bf in enumerate(plan.buffer_faults)]
+        )
+        for name, body, fault, first_s in scheduled:
+            # The first timer is armed now, before the run starts, so
+            # Environment.run counts it as background from its first step.
             self._procs.append(
-                env.process(self._disk_failure(df), name=f"fault.disk.{df.ionode}")
-            )
-        for outage in plan.outages:
-            self._procs.append(
-                env.process(self._outage(outage), name=f"fault.outage.{outage.ionode}")
-            )
-        for i, drops in enumerate(plan.drops):
-            self._procs.append(
-                env.process(self._drop_window(drops), name=f"fault.drops.{i}")
-            )
-        for i, bf in enumerate(plan.buffer_faults):
-            self._procs.append(
-                env.process(self._buffer_fault(bf), name=f"fault.bb.{i}")
+                self.env.process(body(fault, self._sleep(first_s)), name=name)
             )
         return self
 
     # -- fault processes -----------------------------------------------------
-    def _disk_failure(self, df: DiskFailure):
+    def _sleep(self, delay: float) -> Timeout:
+        """A fault timer, armed as a kernel background event: a pending
+        fault never holds the clock once the program's own events have
+        drained, and fires in whichever run (e.g. the next HTF program)
+        reaches its time."""
+        env = self.env
+        timer = Timeout(env, delay)
+        env.background += 1
+        timer.callbacks.append(self._timer_fired)
+        return timer
+
+    def _timer_fired(self, _event) -> None:
+        self.env.background -= 1
+
+    def _disk_failure(self, df: DiskFailure, first: Timeout):
         env = self.env
         ion = self.machine.ionodes[df.ionode]
         array = ion.array
         rec = self.recorder
         try:
-            yield Timeout(env, df.time_s)
+            yield first
         except Interrupt:
             return
         if df.mode == "fail_slow":
@@ -173,7 +208,7 @@ class FaultInjector:
             rec.fault(env.now, df.ionode, FaultKind.DISK_FAILSLOW)
             self._degraded_since[df.ionode] = env.now
             try:
-                yield Timeout(env, df.duration_s)
+                yield self._sleep(df.duration_s)
             except Interrupt:
                 return
             array.clear_slow()
@@ -186,7 +221,7 @@ class FaultInjector:
         rec.fault(env.now, df.ionode, FaultKind.DISK_FAIL)
         self._degraded_since[df.ionode] = env.now
         try:
-            yield Timeout(env, df.rebuild_delay_s)
+            yield self._sleep(df.rebuild_delay_s)
             array.start_rebuild()
             rec.fault(env.now, df.ionode, FaultKind.REBUILD_START)
             # Reconstruction traffic: sequential reads of the lost disk's
@@ -201,7 +236,7 @@ class FaultInjector:
                 except TransientIOError:
                     # The rebuild source node itself is briefly unavailable
                     # (e.g. an overlapping outage); wait and re-read.
-                    yield Timeout(env, 0.1)
+                    yield self._sleep(0.1)
                     continue
                 offset += nbytes
                 remaining -= nbytes
@@ -211,24 +246,24 @@ class FaultInjector:
         rec.fault(env.now, df.ionode, FaultKind.REBUILD_DONE)
         self._close_degraded(df.ionode)
 
-    def _outage(self, outage: NodeOutage):
+    def _outage(self, outage: NodeOutage, first: Timeout):
         env = self.env
         ion = self.machine.ionodes[outage.ionode]
         rec = self.recorder
         try:
-            yield Timeout(env, outage.start_s)
+            yield first
         except Interrupt:
             return
         ion.crash()
         rec.fault(env.now, outage.ionode, FaultKind.NODE_CRASH)
         try:
-            yield Timeout(env, outage.duration_s)
+            yield self._sleep(outage.duration_s)
         except Interrupt:
             return
         ion.restart()
         rec.fault(env.now, outage.ionode, FaultKind.NODE_RESTART)
 
-    def _drop_window(self, drops: RequestDrops):
+    def _drop_window(self, drops: RequestDrops, first: Timeout):
         env = self.env
         rec = self.recorder
         targets = (
@@ -237,7 +272,7 @@ class FaultInjector:
             else drops.ionodes
         )
         try:
-            yield Timeout(env, drops.start_s)
+            yield first
         except Interrupt:
             return
         for i in targets:
@@ -250,19 +285,19 @@ class FaultInjector:
         if drops.duration_s is None:
             return
         try:
-            yield Timeout(env, drops.duration_s)
+            yield self._sleep(drops.duration_s)
         except Interrupt:
             return
         for i in targets:
             self.machine.ionodes[i].clear_drop()
             rec.fault(env.now, i, FaultKind.DROP_END)
 
-    def _buffer_fault(self, bf: BufferFault):
+    def _buffer_fault(self, bf: BufferFault, first: Timeout):
         env = self.env
         bb = self.machine.burstbuffer
         rec = self.recorder
         try:
-            yield Timeout(env, bf.time_s)
+            yield first
         except Interrupt:
             return
         bb.drain_fail()
@@ -272,7 +307,7 @@ class FaultInjector:
         if bf.duration_s is None:
             return
         try:
-            yield Timeout(env, bf.duration_s)
+            yield self._sleep(bf.duration_s)
         except Interrupt:
             return
         bb.drain_resume()

@@ -26,7 +26,7 @@ from .fanout import countdown
 from .file import PFSFile
 from .filesystem import SEEK_CUR, SEEK_END, SEEK_SET, AreadHandle, PFS
 from .modes import AccessMode, ModeSemantics, semantics
-from .retry import RetryPolicy, backoff_schedule, install_retry
+from .retry import RetryPolicy, backoff_schedule
 from .striping import Chunk, StripeLayout
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "TransientIOError",
     "RetryPolicy",
     "backoff_schedule",
-    "install_retry",
     "countdown",
     "PFSFile",
     "SEEK_CUR",

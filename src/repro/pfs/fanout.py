@@ -1,17 +1,18 @@
 """Shared countdown-completion machinery for striped chunk fan-outs.
 
-Every striped request — plain PFS, the PPFS policy layer, the
-write-behind flusher, the batched cohort path — ends the same way: *n*
-per-chunk completions fold into one ``done`` event.  This module holds
-that pattern once, so the fan-out call sites stay thin and the batched
-execution layer has a single integration point.
+Every fault-free striped request ends the same way: *n* per-chunk
+completions fold into one ``done`` event.  :meth:`PFS._fanout
+<repro.pfs.filesystem.PFS._fanout>` (the one chunk path, which PPFS,
+the burst-buffer drainer and ``aread`` share) and
+:meth:`IONode.submit_batch <repro.machine.ionode.IONode.submit_batch>`'s
+per-request fallback fold through it here; under fault injection,
+:func:`repro.pfs.retry.settle_all` takes its place so a chunk can settle
+with an error.
 
 The helper is allocation-lean by design: one :class:`Event` plus one
 closure for the multi-chunk case, and for the (dominant) single-chunk
 case no counter at all — the chunk's completion callback succeeds
-``done`` directly.  Both shapes schedule exactly the events the previous
-hand-rolled copies in ``PFS._fanout`` / ``PPFS._fanout`` did, so trace
-hashes are unchanged.
+``done`` directly.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ default placement, M_GLOBAL collective reads, M_ASYNC's missing atomicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from ..machine.paragon import Paragon
@@ -50,6 +51,7 @@ from .errors import (
 from .fanout import countdown
 from .file import PFSFile
 from .modes import AccessMode
+from .retry import issue_with_retry, settle_all
 from .striping import StripeLayout
 
 __all__ = ["PFS", "AreadHandle", "SEEK_SET", "SEEK_CUR", "SEEK_END"]
@@ -134,6 +136,9 @@ class PFS:
         #: Fluid-fidelity servicer (repro.sim.fluid); None = event mode,
         #: and applications then run every phase discretely.
         self.fluid = None
+        #: Retry domain (a repro.faults.FaultInjector) handed over when a
+        #: fault plan runs; None = fault-free, and chunks are not retried.
+        self.retry_domain = None
         #: Burst-buffer tier, when the machine has one; None = absent, and
         #: the data path then costs one attribute check per transfer.
         self._bb = getattr(machine, "burstbuffer", None)
@@ -416,54 +421,64 @@ class PFS:
         """Start the striped per-I/O-node chunk transfers of one request;
         the returned event fires when the last chunk completes.
 
-        A shared :func:`~repro.pfs.fanout.countdown` replaces the old
-        per-chunk closure-generator + Process + AllOf fan-out (which cost
-        two events and a process per 64 KB chunk): each chunk is a
-        mesh-delay :class:`Timeout` whose callback submits the chunk to
-        its I/O node and chains the countdown onto the service-done
-        event.  All hops in both formulations are zero-delay, so
-        completion times are unchanged.
+        The one striped chunk path: plain PFS, PPFS (whose I/O-node
+        caches override :meth:`_issue`), burst-buffer drains and
+        ``aread``'s background transfer all send their chunks here.  Each
+        chunk goes out through :meth:`_send_chunk`, and a shared
+        :func:`~repro.pfs.fanout.countdown` folds the completions into
+        one event.  Under fault injection each chunk instead runs through
+        :func:`~repro.pfs.retry.issue_with_retry`, and the event fails
+        with the first fatal error once every chunk has settled.
         """
-        env = self.env
-        mesh = self.machine.mesh
-        ionodes = self.machine.ionodes
-        io_pos = self._io_mesh_pos
         chunks = f.layout.decompose(offset, nbytes)
-        done, chunk_done = countdown(env, len(chunks))
+        spans = self.spans
+        parent = -1 if spans is None else spans.take_fanout_parent(node)
+        send = partial(self._send_chunk, node, f, is_write, parent)
+        domain = self.retry_domain
+        if domain is None:
+            done, chunk_done = countdown(self.env, len(chunks))
+            for chunk in chunks:
+                send(chunk, chunk_done)
+            return done
+        done, settle = settle_all(self.env, len(chunks))
+        ionodes = self.machine.ionodes
+        for chunk in chunks:
+            issue_with_retry(
+                domain, partial(send, chunk), ionodes[chunk.ionode], node,
+                f.file_id, chunk.disk_offset, chunk.nbytes, parent, settle,
+            )
+        return done
+
+    def _send_chunk(
+        self, node: int, f: PFSFile, is_write: bool, parent: int, chunk, on_done
+    ) -> None:
+        """Send one chunk over the mesh.  :meth:`_issue` runs now, at send
+        time, and returns the arrival callback that submits the chunk and
+        chains ``on_done`` onto its service."""
+        env = self.env
+        delay = self.machine.mesh.message_time(
+            node, self._io_mesh_pos[chunk.ionode], chunk.nbytes
+        )
         spans = self.spans
         if spans is not None:
-            parent = spans.fanout_parent
-            if parent >= 0:
-                spans.fanout_parent = -1
-            else:
-                parent = -2 - node
-            mesh_ext = spans.mesh_raw.append
             now = env.now
-        for chunk in chunks:
-            ion = ionodes[chunk.ionode]
-            extra = self._chunk_extra(chunk.nbytes, is_write)
-            delay = mesh.message_time(node, io_pos[chunk.ionode], chunk.nbytes)
-            msg = Timeout(env, delay)
+            spans.mesh_raw.append((parent, node, now, now + delay, chunk.nbytes))
+        Timeout(env, delay).callbacks.append(
+            self._issue(f, chunk, is_write, parent, on_done)
+        )
 
-            if spans is None:
+    def _issue(self, f: PFSFile, chunk, is_write: bool, parent: int, on_done):
+        """The arrival callback of one chunk: submit it to its I/O node
+        with the server-path software cost, under span ``parent``."""
+        ion = self.machine.ionodes[chunk.ionode]
+        extra = self._chunk_extra(chunk.nbytes, is_write)
 
-                def _arrived(_ev, ion=ion, chunk=chunk, extra=extra):
-                    ion.submit(
-                        chunk.disk_offset, chunk.nbytes, is_write, extra
-                    ).callbacks.append(chunk_done)
+        def _arrived(_ev: Event) -> None:
+            ion.submit(
+                chunk.disk_offset, chunk.nbytes, is_write, extra, parent
+            ).callbacks.append(on_done)
 
-            else:
-                mesh_ext((parent, node, now, now + delay, chunk.nbytes))
-
-                def _arrived(_ev, ion=ion, chunk=chunk, extra=extra, parent=parent):
-                    # Thread the causal parent through the async mesh hop
-                    # as a submit argument.
-                    ion.submit(
-                        chunk.disk_offset, chunk.nbytes, is_write, extra, parent
-                    ).callbacks.append(chunk_done)
-
-            msg.callbacks.append(_arrived)
-        return done
+        return _arrived
 
     def _transfer(self, node: int, f: PFSFile, offset: int, nbytes: int, is_write: bool):
         """Move ``nbytes`` between the client and the striped I/O nodes.
@@ -834,7 +849,18 @@ class PFS:
             yield from self._flush_write_buffer(node, entry)
         if node in f.dirty_nodes:
             ion = self.machine.ionodes[f.layout.first_ionode]
-            yield self.env.process(ion.visit(self.costs.flush_service_s))
+            service_s = self.costs.flush_service_s
+            if self.retry_domain is None:
+                yield self.env.process(ion.visit(service_s))
+            else:
+                # The visit may meet a down node: retry it like a chunk.
+                done, settle = settle_all(self.env, 1)
+                issue_with_retry(
+                    self.retry_domain,
+                    lambda on_done: ion.submit_control(service_s).callbacks.append(on_done),
+                    ion, node, f.file_id, 0, 0, -1, settle,
+                )
+                yield done
             f.dirty_nodes.discard(node)
 
     # ------------------------------------------------------------ async reads

@@ -22,17 +22,19 @@ standard distributed-systems answer:
   request with :class:`~repro.pfs.errors.RetryBudgetExceeded`, a typed
   *fatal* error.  Nothing hangs and nothing silently succeeds.
 
-:func:`install_retry` swaps a retrying fan-out into a live file system
-as an *instance* attribute, shadowing both :meth:`PFS._fanout` and the
-PPFS server-cache variant; fault-free runs never pay for any of this
-because the injector only installs it when the plan is non-empty.
+:func:`issue_with_retry` is the one retry loop: the striped fan-out
+(:meth:`repro.pfs.filesystem.PFS._fanout`, which PPFS and the burst
+buffer share), the write-behind flusher and the ``flush`` visit all run
+through it once the fault injector has handed the file system its retry
+domain (``fs.retry_domain``).  Fault-free runs never pay for any of
+this: the injector hands the domain over only when the plan is
+non-empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any
+from typing import Callable, Optional
 
 from ..sim.core import Event, Timeout
 from .errors import IONodeUnavailable, RetryBudgetExceeded, TransientIOError
@@ -41,8 +43,8 @@ __all__ = [
     "RetryPolicy",
     "backoff_delay",
     "backoff_schedule",
-    "retrying_fanout",
-    "install_retry",
+    "settle_all",
+    "issue_with_retry",
 ]
 
 
@@ -124,7 +126,7 @@ def backoff_schedule(policy: RetryPolicy, n: int, rng) -> list[float]:
     """The first ``n`` realized re-issue delays for one chunk.
 
     Chains :func:`backoff_delay` through its own recurrence — the exact
-    sequence the retrying fan-out would wait, given the same stream.
+    sequence :func:`issue_with_retry` would wait, given the same stream.
     """
     delays: list[float] = []
     prev = 0.0
@@ -134,155 +136,96 @@ def backoff_schedule(policy: RetryPolicy, n: int, rng) -> list[float]:
     return delays
 
 
-def retrying_fanout(fs, domain, node: int, f, offset: int, nbytes: int, is_write: bool) -> Event:
-    """Striped chunk fan-out with per-chunk retry, failover, and a budget.
+def settle_all(env, n: int) -> tuple[Event, Callable[[Optional[BaseException]], None]]:
+    """A ``(done, settle)`` pair for ``n`` retried chunks.
 
-    Mirrors :meth:`repro.pfs.filesystem.PFS._fanout` (and the PPFS
-    server-cache variant, duck-typed via ``fs.server_cache``): one mesh
-    :class:`Timeout` per chunk whose arrival callback submits to the I/O
-    node.  The difference is that each chunk's completion callback
-    inspects the service event: transient failures re-issue after a
-    jittered backoff (racing the node's restart when it is down), fatal
-    failures — or a spent budget — fail the returned event with the
-    first fatal error once every chunk has settled.
-
-    ``domain`` supplies ``policy`` (a :class:`RetryPolicy`),
-    ``backoff_rng`` (a deterministic stream), and ``recorder`` (a
-    :class:`repro.faults.FaultRecorder` or None) for RETRY trace rows.
+    Each chunk calls ``settle(exc)`` once: ``None`` on success, else its
+    fatal error.  ``done`` fires on the ``n``-th call, failing with the
+    first fatal error, if any, so a request fails only after every chunk
+    has come to rest.
     """
-    env = fs.env
-    mesh = fs.machine.mesh
-    ionodes = fs.machine.ionodes
-    io_pos = fs._io_mesh_pos
-    policy = domain.policy
-    recorder = domain.recorder
-    rng = domain.backoff_rng
-    file_id = f.file_id
-    chunks = f.layout.decompose(offset, nbytes)
     done = Event(env)
-    if not chunks:
-        return done.succeed()
-    state: dict[str, Any] = {"remaining": len(chunks), "failure": None}
+    remaining = n
+    failure: Optional[BaseException] = None
 
-    pol = getattr(fs, "policies", None)
-    server_blocks = getattr(pol, "server_cache_blocks", 0) if pol is not None else 0
-    use_cache = server_blocks > 0
-    cache_block = pol.server_cache_block_bytes if use_cache else 1
-    hit_s = pol.server_cache_hit_s if use_cache else 0.0
-    spans = getattr(fs, "spans", None)
-    if spans is not None:
-        root = spans.fanout_parent
-        if root >= 0:
-            spans.fanout_parent = -1
-        else:
-            root = -2 - node
-    else:
-        root = -1
-
-    def settle() -> None:
-        state["remaining"] -= 1
-        if not state["remaining"]:
-            failure = state["failure"]
+    def settle(exc: Optional[BaseException]) -> None:
+        nonlocal remaining, failure
+        if exc is not None and failure is None:
+            failure = exc
+        remaining -= 1
+        if not remaining:
             if failure is None:
                 done.succeed()
             else:
                 done.fail(failure)
 
-    def launch(chunk, attempt: int, prev_delay: float) -> None:
-        delay = mesh.message_time(node, io_pos[chunk.ionode], chunk.nbytes)
-        if spans is not None:
-            spans.mesh_raw.append((root, node, env.now, env.now + delay, chunk.nbytes))
-        msg = Timeout(env, delay)
-        msg.callbacks.append(
-            lambda _ev: issue(chunk, ionodes[chunk.ionode], attempt, prev_delay)
-        )
+    return done, settle
 
-    def issue(chunk, ion, attempt: int, prev_delay: float) -> None:
-        insert = None
-        if use_cache:
-            cache = fs.server_cache(chunk.ionode)
-            first = chunk.disk_offset // cache_block
-            last = (chunk.disk_offset + chunk.nbytes - 1) // cache_block
-            if not is_write and cache.lookup_range(file_id, first, last):
-                if spans is not None:
-                    spans.add(
-                        "scache.hit", chunk.ionode, env.now, env.now, root, chunk.nbytes
-                    )
-                ion.submit_control(hit_s, root).callbacks.append(
-                    lambda ev: finish(ev, chunk, ion, attempt, prev_delay, None)
-                )
-                return
-            insert = (cache, first, last)
-        extra = fs._chunk_extra(chunk.nbytes, is_write)
-        ion.submit(
-            chunk.disk_offset, chunk.nbytes, is_write, extra, root
-        ).callbacks.append(
-            lambda ev, insert=insert: finish(ev, chunk, ion, attempt, prev_delay, insert)
-        )
 
-    def finish(ev: Event, chunk, ion, attempt: int, prev_delay: float, insert) -> None:
+def issue_with_retry(
+    domain,
+    send: Callable[[Callable[[Event], None]], None],
+    ion,
+    node: int,
+    file_id: int,
+    offset: int,
+    nbytes: int,
+    span_parent: float,
+    settle: Callable[[Optional[BaseException]], None],
+) -> None:
+    """Issue one chunk until it succeeds, fails fatally or spends its budget.
+
+    ``send(on_done)`` starts one attempt and chains ``on_done`` onto the
+    attempt's service-done event at ``ion``.  A transient failure
+    re-issues after a jittered backoff, racing ``ion``'s restart when it
+    is down; each re-issue records a RETRY row for ``node`` (and, with
+    spans on, a ``retry.backoff`` span under ``span_parent``).
+    ``settle`` is called exactly once: with ``None`` on success, else
+    with the fatal error or
+    :class:`~repro.pfs.errors.RetryBudgetExceeded`.
+
+    ``domain`` supplies ``policy`` (a :class:`RetryPolicy`),
+    ``backoff_rng`` (a deterministic stream) and ``recorder`` (a
+    :class:`repro.faults.FaultRecorder`).
+    """
+    env = ion.env
+    policy = domain.policy
+
+    def attempt(n: int, prev_delay: float) -> None:
+        send(lambda ev: finish(ev, n, prev_delay))
+
+    def finish(ev: Event, n: int, prev_delay: float) -> None:
         if ev._ok:
-            if insert is not None:
-                cache, first, last = insert
-                cache.insert_range(file_id, first, last)
-            settle()
+            settle(None)
             return
         exc = ev._value
         if not isinstance(exc, TransientIOError):
-            if state["failure"] is None:
-                state["failure"] = exc
-            settle()
+            settle(exc)
             return
-        if attempt >= policy.max_attempts:
-            if state["failure"] is None:
-                state["failure"] = RetryBudgetExceeded(
-                    f"chunk (ionode {chunk.ionode}, offset {chunk.disk_offset}, "
-                    f"{chunk.nbytes} B) failed {attempt} attempts; last: {exc}"
-                )
-            settle()
+        if n >= policy.max_attempts:
+            settle(RetryBudgetExceeded(
+                f"chunk (ionode {ion.index}, offset {offset}, {nbytes} B) "
+                f"failed {n} attempts; last: {exc}"
+            ))
             return
-        delay = backoff_delay(policy, attempt, prev_delay, rng)
+        delay = backoff_delay(policy, n, prev_delay, domain.backoff_rng)
         failed_at = env.now
-        fired = [False]
+        fired = False
 
-        def _resubmit(_ev: Event) -> None:
+        def resubmit(_ev: Event) -> None:
             # Backoff expiry races the node restart; first wins, the
             # other finds the flag set and does nothing.
-            if fired[0]:
+            nonlocal fired
+            if fired:
                 return
-            fired[0] = True
-            if recorder is not None:
-                recorder.retry(
-                    env.now, node, file_id, chunk.disk_offset, chunk.nbytes,
-                    env.now - failed_at,
-                )
-            if spans is not None:
-                spans.add(
-                    "retry.backoff", node, failed_at, env.now,
-                    root, chunk.nbytes, float(attempt),
-                )
-            launch(chunk, attempt + 1, delay)
+            fired = True
+            domain.recorder.retry(
+                env.now, node, file_id, offset, nbytes, failed_at, span_parent, n
+            )
+            attempt(n + 1, delay)
 
-        Timeout(env, delay).callbacks.append(_resubmit)
+        Timeout(env, delay).callbacks.append(resubmit)
         if isinstance(exc, IONodeUnavailable) and not ion.up:
-            ion.restart_wait().callbacks.append(_resubmit)
+            ion.restart_wait().callbacks.append(resubmit)
 
-    for chunk in chunks:
-        launch(chunk, 1, 0.0)
-    return done
-
-
-def install_retry(fs, domain):
-    """Thread retry/failover through a live file system.
-
-    Installs :func:`retrying_fanout` as an *instance* attribute (shadowing
-    the class fan-out, including PPFS's cached variant and the
-    ``server_cache_blocks == 0`` instance shortcut), and hands the domain
-    to the write-behind manager when one exists so flushed chunks retry
-    too.  Returns ``fs``.
-    """
-    fs._fanout = partial(retrying_fanout, fs, domain)
-    writeback = getattr(fs, "writeback", None)
-    if writeback is not None:
-        writeback.retry_domain = domain
-    return fs
+    attempt(1, 0.0)

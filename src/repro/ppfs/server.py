@@ -22,7 +22,6 @@ from typing import Optional
 
 from ..machine.paragon import Paragon
 from ..pfs.costs import CostModel
-from ..pfs.fanout import countdown
 from ..pfs.filesystem import PFS, SEEK_CUR, SEEK_END, SEEK_SET
 from ..pfs.errors import PFSError
 from ..sim.core import Event, Timeout
@@ -59,10 +58,6 @@ class PPFS(PFS):
         self._prefetch_on = not isinstance(self.prefetcher, NoPrefetcher)
         #: Prefetch fan-outs issued whose data has not arrived yet.
         self.prefetch_inflight = 0
-        if pol.server_cache_blocks == 0:
-            # No second-level caches: skip the per-call disabled check in
-            # the PPFS override and dispatch straight to the base fan-out.
-            self._fanout = super()._fanout
         self.writeback = WriteBehindManager(self) if pol.write_behind else None
         # Second-level (I/O-node) caches, shared across clients (§8).
         self._server_caches: dict[int, BlockCache] = {}
@@ -91,94 +86,39 @@ class PPFS(PFS):
             total.merge(cache.stats)
         return total
 
-    def _fanout(self, node: int, f, offset: int, nbytes: int, is_write: bool) -> Event:
-        """Striped chunk fan-out with the shared I/O-node caches in the path.
+    def _issue(self, f, chunk, is_write: bool, parent: int, on_done):
+        """The chunk's issue step with the shared I/O-node caches in the path.
 
-        Same shared-countdown pattern as :meth:`PFS._fanout` — one mesh
-        :class:`Timeout` per chunk whose arrival callback submits to the
-        I/O node, no closure/Process/AllOf per chunk.  Read chunks fully
-        resident in the serving node's cache become control submissions
-        (CPU + queueing, no disk motion); misses serve from disk and
-        populate the cache when their service completes.  Writes go
-        through to disk and refresh the cached blocks (write-through at
-        the second level — write-behind buffering is the client-side
-        policy's job).  Hit state is decided per chunk at issue time, as
-        the old per-chunk closures did.  Every replaced hop had zero
-        simulated delay, so completion timestamps are unchanged.
+        Decided when the chunk is sent: a read fully resident in the
+        serving node's cache becomes a control submission (CPU and
+        queueing, no disk motion).  Anything else is served from disk and
+        fills the cached blocks when its service completes (write-through
+        at the second level; write-behind buffering is the client-side
+        policy's job).
         """
-        if self.policies.server_cache_blocks == 0:
-            return super()._fanout(node, f, offset, nbytes, is_write)
-        env = self.env
-        mesh = self.machine.mesh
-        block = self.policies.server_cache_block_bytes
-        hit_s = self.policies.server_cache_hit_s
+        pol = self.policies
+        if not pol.server_cache_blocks:
+            return super()._issue(f, chunk, is_write, parent, on_done)
+        cache = self.server_cache(chunk.ionode)
+        block = pol.server_cache_block_bytes
+        first = chunk.disk_offset // block
+        last = (chunk.disk_offset + chunk.nbytes - 1) // block
         file_id = f.file_id
-        chunks = f.layout.decompose(offset, nbytes)
-        done, _chunk_done = countdown(env, len(chunks))
-        spans = self.spans
-        if spans is not None:
-            parent = spans.fanout_parent
-            if parent >= 0:
-                spans.fanout_parent = -1
-            else:
-                parent = -2 - node
-            mesh_ext = spans.mesh_raw.append
-            now = env.now
-        for chunk in chunks:
+        if not is_write and cache.lookup_range(file_id, first, last):
+            spans = self.spans
+            if spans is not None:
+                now = self.env.now
+                spans.add("scache.hit", chunk.ionode, now, now, parent, chunk.nbytes)
             ion = self.machine.ionodes[chunk.ionode]
-            io_pos = self._io_mesh_node(chunk.ionode)
-            cache = self.server_cache(chunk.ionode)
-            assert cache is not None
-            first = chunk.disk_offset // block
-            last = (chunk.disk_offset + chunk.nbytes - 1) // block
-            hit = not is_write and cache.lookup_range(file_id, first, last)
-            delay = mesh.message_time(node, io_pos, chunk.nbytes)
-            msg = Timeout(env, delay)
-            if hit:
-                if spans is None:
+            hit_s = pol.server_cache_hit_s
+            return lambda _ev: ion.submit_control(hit_s, parent).callbacks.append(on_done)
 
-                    def _arrived(_ev, ion=ion):
-                        ion.submit_control(hit_s).callbacks.append(_chunk_done)
+        def _served(ev: Event) -> None:
+            if ev._ok:
+                cache.insert_range(file_id, first, last)
+            on_done(ev)
 
-                else:
-                    mesh_ext((parent, node, now, now + delay, chunk.nbytes))
-                    spans.add(
-                        "scache.hit", chunk.ionode, now, now, parent, chunk.nbytes
-                    )
-
-                    def _arrived(_ev, ion=ion, parent=parent):
-                        ion.submit_control(hit_s, parent).callbacks.append(_chunk_done)
-
-            else:
-                extra = self._chunk_extra(chunk.nbytes, is_write)
-                if spans is None:
-
-                    def _arrived(_ev, ion=ion, chunk=chunk, extra=extra,
-                                 cache=cache, first=first, last=last):
-                        def _served(ev):
-                            cache.insert_range(file_id, first, last)
-                            _chunk_done(ev)
-
-                        ion.submit(
-                            chunk.disk_offset, chunk.nbytes, is_write, extra
-                        ).callbacks.append(_served)
-
-                else:
-                    mesh_ext((parent, node, now, now + delay, chunk.nbytes))
-
-                    def _arrived(_ev, ion=ion, chunk=chunk, extra=extra,
-                                 cache=cache, first=first, last=last,
-                                 parent=parent):
-                        def _served(ev):
-                            cache.insert_range(file_id, first, last)
-                            _chunk_done(ev)
-
-                        ion.submit(
-                            chunk.disk_offset, chunk.nbytes, is_write, extra, parent
-                        ).callbacks.append(_served)
-
-            msg.callbacks.append(_arrived)
-        return done
+        return super()._issue(f, chunk, is_write, parent, _served)
 
     # -- helpers ---------------------------------------------------------------
     def cache_for(self, node: int) -> Optional[BlockCache]:

@@ -26,12 +26,12 @@ qualify yet, which is the common case under aggregation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
-from ..pfs.errors import IONodeUnavailable, RetryBudgetExceeded, TransientIOError
 from ..pfs.file import PFSFile
-from ..pfs.retry import backoff_delay
-from ..sim.core import Event, Timeout
+from ..pfs.retry import issue_with_retry
+from ..sim.core import Event
 from .aggregation import ExtentSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,11 +51,10 @@ class WriteBehindManager:
         self._timer_armed = False
         self._inflight: set[object] = set()
         self._idle_event: Event | None = None
-        # Fault support: install_retry sets retry_domain; flushed chunks
-        # then retry like foreground transfers, and a fatal flush failure
-        # is parked here and raised at the next drain (write-behind has no
-        # caller to fail synchronously).
-        self.retry_domain = None
+        # Under fault injection (fs.retry_domain set) flushed chunks retry
+        # like foreground transfers; a fatal flush failure is parked here
+        # and raised at the next drain (write-behind has no caller to fail
+        # synchronously).
         self._fatal: BaseException | None = None
         #: Span recorder handle (planted by SpanRecorder.attach).
         self.spans = None
@@ -126,17 +125,37 @@ class WriteBehindManager:
         it in one pass or falls back to per-request submits when the
         node is not eager.  Each run still counts as one logical
         transfer for the aggregation statistics.
+
+        Under fault injection each chunk instead runs through
+        :func:`~repro.pfs.retry.issue_with_retry`; a spent budget or
+        fatal error is parked in ``_fatal`` while the chunk still counts
+        down, so :meth:`drain_all` never hangs and surfaces the failure
+        instead of losing data silently.
         """
         if not runs:
             return
-        if self.retry_domain is not None:
-            self._start_runs_retrying(f, runs)
-            return
         ionodes = self.fs.machine.ionodes
-        groups: dict[int, list[tuple[int, int, int, float]]] = {}
-        for spec in self._chunk_specs(f, runs):
-            groups.setdefault(spec[0], []).append(spec)
+        specs = self._chunk_specs(f, runs)
         fsid = self._flush_span(runs)
+        domain = self.fs.retry_domain
+        if domain is not None:
+            batch_done = self._batch_done(len(specs), fsid)
+
+            def settle(exc) -> None:
+                if exc is not None and self._fatal is None:
+                    self._fatal = exc
+                batch_done()
+
+            for node, offset, nbytes, extra in specs:
+                ion = ionodes[node]
+                issue_with_retry(
+                    domain, partial(_submit_write, ion, offset, nbytes, extra, fsid),
+                    ion, node, f.file_id, offset, nbytes, fsid, settle,
+                )
+            return
+        groups: dict[int, list[tuple[int, int, int, float]]] = {}
+        for spec in specs:
+            groups.setdefault(spec[0], []).append(spec)
         node_done = self._batch_done(len(groups), fsid)
         for node in sorted(groups):
             _, offsets, sizes, extras = zip(*groups[node])
@@ -197,81 +216,6 @@ class WriteBehindManager:
 
         return done
 
-    def _start_runs_retrying(self, f: PFSFile, runs: list[tuple[int, int]]) -> None:
-        """Fault-path variant of :meth:`_start_runs`.
-
-        Same submission shape (flush chunks bypass the mesh and go
-        straight to the I/O-node queues), but each chunk's completion is
-        inspected: transient failures re-issue after a jittered backoff —
-        racing the node's restart when it is down — and a spent budget or
-        fatal error parks the exception in ``_fatal`` while still
-        counting the chunk down, so :meth:`drain_all` never hangs and
-        surfaces the failure instead of losing data silently.
-        """
-        fs = self.fs
-        env = self.env
-        ionodes = fs.machine.ionodes
-        domain = self.retry_domain
-        policy = domain.policy
-        rng = domain.backoff_rng
-        recorder = domain.recorder
-        file_id = f.file_id
-        specs = self._chunk_specs(f, runs)
-        fsid = self._flush_span(runs)
-        spans = self.spans
-        settle = self._batch_done(len(specs), fsid)
-
-        def _launch(spec, attempt: int, prev_delay: float) -> None:
-            ion = ionodes[spec[0]]
-            ion.submit(spec[1], spec[2], True, spec[3], fsid).callbacks.append(
-                lambda ev: _finish(ev, spec, ion, attempt, prev_delay)
-            )
-
-        def _finish(ev, spec, ion, attempt: int, prev_delay: float) -> None:
-            if ev._ok:
-                settle()
-                return
-            exc = ev._value
-            if not isinstance(exc, TransientIOError):
-                if self._fatal is None:
-                    self._fatal = exc
-                settle()
-                return
-            if attempt >= policy.max_attempts:
-                if self._fatal is None:
-                    self._fatal = RetryBudgetExceeded(
-                        f"flush chunk (ionode {spec[0]}, offset {spec[1]}, "
-                        f"{spec[2]} B) failed {attempt} attempts; last: {exc}"
-                    )
-                settle()
-                return
-            delay = backoff_delay(policy, attempt, prev_delay, rng)
-            failed_at = env.now
-            fired = [False]
-
-            def _resubmit(_ev) -> None:
-                if fired[0]:
-                    return
-                fired[0] = True
-                if recorder is not None:
-                    recorder.retry(
-                        env.now, ion.index, file_id, spec[1], spec[2],
-                        env.now - failed_at,
-                    )
-                if fsid >= 0:
-                    spans.add(
-                        "retry.backoff", ion.index, failed_at, env.now,
-                        fsid, spec[2], float(attempt),
-                    )
-                _launch(spec, attempt + 1, delay)
-
-            Timeout(env, delay).callbacks.append(_resubmit)
-            if isinstance(exc, IONodeUnavailable) and not ion.up:
-                ion.restart_wait().callbacks.append(_resubmit)
-
-        for spec in specs:
-            _launch(spec, 1, 0.0)
-
     def _interval_flush(self):
         """Periodic flush.
 
@@ -325,3 +269,8 @@ class WriteBehindManager:
         if self._fatal is not None:
             exc, self._fatal = self._fatal, None
             raise exc
+
+
+def _submit_write(ion, offset: int, nbytes: int, extra: float, parent: int, on_done) -> None:
+    """One flush attempt: the chunk goes straight to its I/O node's queue."""
+    ion.submit(offset, nbytes, True, extra, parent).callbacks.append(on_done)

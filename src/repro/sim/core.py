@@ -371,10 +371,11 @@ class Environment:
     ``background`` counts heap-scheduled events that must not keep the
     simulation alive: :meth:`run` returns — without advancing the clock —
     as soon as only background events remain.  A periodic observer (the
-    telemetry sampler) increments it when arming a timeout and decrements
-    it when the timeout fires; because the count covers only events with
-    a strictly positive delay, the zero-delay fast path is untouched, and
-    an unfired background timeout simply stays queued for a later
+    telemetry sampler) or a fault timer increments it when arming a
+    timeout and decrements it when the timeout fires.  A zero-delay
+    background timeout waits on the immediate deque, which keeps
+    :meth:`run` stepping until it fires, so the heap comparison stays
+    exact; an unfired background timeout simply stays queued for a later
     :meth:`run` call (e.g. the next program of a multi-program pipeline).
 
     Parameters
@@ -532,10 +533,11 @@ class Environment:
 
         Events marked :attr:`background` do not count as pending work:
         once they are all that remains, the run returns with ``now`` at
-        the last foreground event.  Background events must be armed
-        before ``run()`` is entered (re-arming an existing one from its
-        own callback is fine); the no-background fast loop below treats
-        a *first* background event armed mid-run as foreground.
+        the last foreground event.  At least one background event must
+        be armed before ``run()`` is entered for any to count (callbacks
+        may then arm more or stop re-arming); the no-background fast
+        loop below treats a *first* background event armed mid-run as
+        foreground.
 
         Re-raises the first exception from a process nobody waited on, so
         silent failures cannot corrupt an experiment.
@@ -546,13 +548,11 @@ class Environment:
         queue = self._queue
         unhandled = self._unhandled
         if self.background:
-            # The *net* number of armed background events must stay
-            # constant while run() drains (a background callback may
-            # re-arm itself; it must not arm extras or stop re-arming
-            # mid-run), so the count can be read once outside the loop.
-            background = self.background
+            # The count is re-read every step: background callbacks may
+            # re-arm themselves (the telemetry sampler), arm further
+            # timers or stop arming (fault timers).
             step = self.step
-            while imm or len(queue) > background or self._boundary:
+            while imm or len(queue) > self.background or self._boundary:
                 if not imm and self._boundary:
                     # Current-instant work is exhausted: fire the phase
                     # boundary before the clock can advance.  Drain in

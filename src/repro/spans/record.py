@@ -25,7 +25,9 @@ is recorded in the event loop*:
   (machine-wide waits on node ``-1`` stay roots, since no op runs
   there).
 * The two high-rate interior sites — mesh chunk sends in
-  ``PFS._fanout`` and per-request service at the I/O nodes — append
+  ``PFS._send_chunk`` (the one striped chunk path: PFS, PPFS,
+  burst-buffer drains and retried chunks all send there) and
+  per-request service at the I/O nodes — append
   one small tuple onto a staging list (``mesh_raw`` / ``ion_raw``)
   and are expanded into span rows *vectorially* at :meth:`finalize`
   (one ``np.array`` over the whole list), including the per-request
@@ -47,14 +49,15 @@ synthesized per-node op timelines (ops on one node never overlap).
 Async boundaries, where the issuing op may already have returned, pass
 the parent explicitly: ``IONode.submit``/``submit_control``/
 ``submit_batch`` take a ``span_parent`` argument (a real sid or the
-deferred encoding, threaded through the fan-out arrival closures, the
-write-behind flusher, and the retry layer), and one one-shot slot
-remains:
+deferred encoding; the fan-out passes its parent to every chunk's issue
+step and retry, and the write-behind flusher its ``wb.flush`` sid), and
+one one-shot slot remains:
 
 * ``fanout_parent`` — set by async issuers (``aread``'s background
-  transfer, write-behind flushes, burst-buffer drains) whose chunk
-  fan-out runs outside any op's lifetime; when unset, the fan-out
-  parent falls back to the deferred node encoding above.
+  transfer, prefetch staging, burst-buffer drains) whose chunk fan-out
+  runs outside any op's lifetime; ``PFS._fanout`` takes it through
+  :meth:`SpanRecorder.take_fanout_parent`, which falls back to the
+  deferred node encoding above when it is unset.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class SpanRecorder:
         self._store = SpanStore()
         self.env = None
         #: One-shot parent slot consumed by the next ``PFS._fanout`` call
-        #: (set by async issuers like ``aread``'s background transfer).
+        #: through :meth:`take_fanout_parent` (set by async issuers like
+        #: ``aread``'s background transfer).
         self.fanout_parent = -1
         #: Staged (parent, ion, arrival, start, end, offset, nbytes,
         #: extra_s, head, write) tuples; a negative head marks a control

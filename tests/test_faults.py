@@ -354,6 +354,75 @@ class TestFaultedRunEndToEnd:
             small_experiment("escat", faults=plan).run()
 
 
+class TestWriteBehindRetry:
+    """Flushed chunks retry like foreground transfers (PPFS write-behind)."""
+
+    def test_flush_retries_and_every_byte_lands(self):
+        result = small_experiment(
+            "checkpoint", filesystem="ppfs", policies=PPFSPolicies.escat_tuned(),
+            faults=_PLAN, spans=True,
+        ).run()
+        assert result.injector.recorder.retry_count > 0
+        # Every retry is a flush chunk's: its backoff span hangs off a
+        # wb.flush batch.
+        store = result.spans.store
+        kind, parent = store.column("kind"), store.column("parent")
+        backoffs = parent[kind == store.kind_code("retry.backoff")].astype(int)
+        assert len(backoffs) == result.injector.recorder.retry_count
+        assert (kind[backoffs] == store.kind_code("wb.flush")).all()
+        wb = result.fs.writeback
+        assert wb.bytes_submitted > 0
+        assert wb.bytes_flushed == wb.bytes_submitted
+
+    def test_long_outage_exhausts_flush_budget(self):
+        plan = FaultPlan(
+            outages=(NodeOutage(ionode=0, start_s=1.0, duration_s=100.0),),
+            retry=RetryPolicy(max_attempts=3),
+        )
+        with pytest.raises(RetryBudgetExceeded):
+            small_experiment(
+                "checkpoint", filesystem="ppfs",
+                policies=PPFSPolicies.escat_tuned(), faults=plan,
+            ).run()
+
+
+def _op_spans(result) -> dict:
+    """Per program: (first op start, last op end), resilience rows excluded."""
+    spans = {}
+    for name, trace in result.traces.items():
+        ev = trace.events
+        ev = ev[ev["op"] < int(Op.FAULT)]
+        spans[name] = (
+            float(ev["timestamp"].min()),
+            float((ev["timestamp"] + ev["duration"]).max()),
+        )
+    return spans
+
+
+class TestFaultTimersFollowThePrograms:
+    """Pending fault timers never hold the clock between HTF programs."""
+
+    def test_outage_lands_inside_pargos(self):
+        plan = FaultPlan(outages=(NodeOutage(ionode=0, start_s=35.0, duration_s=2.0),))
+        result = small_experiment("htf", faults=plan).run()
+        spans = _op_spans(result)
+        # pargos starts the instant psetup ends (30.96 s), not when the
+        # outage window closes, so the 35-37 s outage hits it mid-run.
+        assert spans["pargos"][0] == spans["psetup"][1]
+        stamps = [row[0] for row in result.injector.recorder.rows if row[2] == int(Op.FAULT)]
+        assert stamps == [35.0, 37.0]
+        lo, hi = spans["pargos"]
+        assert all(lo < ts < hi for ts in stamps)
+
+    def test_window_past_the_run_changes_nothing(self):
+        plan = FaultPlan(
+            drops=(RequestDrops(probability=0.1, start_s=1e7, duration_s=1.0),)
+        )
+        faulted = small_experiment("htf", faults=plan).run()
+        assert _op_spans(faulted) == _op_spans(small_experiment("htf").run())
+        assert faulted.injector.recorder.rows == []
+
+
 class TestInjectorLifecycle:
     def test_empty_plan_installs_nothing(self):
         machine = small_machine()

@@ -47,6 +47,32 @@ class TestEnvironmentBasics:
         with pytest.raises(SimulationError):
             Environment().step()
 
+    def test_background_count_may_change_mid_run(self):
+        # A background timer that fires and is not re-armed (a fault
+        # timer) must not end the run while foreground work remains, and
+        # one still pending must not keep it alive after.
+        env = Environment()
+
+        def fired(_ev):
+            env.background -= 1
+
+        def background(delay):
+            env.background += 1
+            env.timeout(delay).callbacks.append(fired)
+
+        background(1.0)
+        background(50.0)
+        done = []
+
+        def proc():
+            yield env.timeout(2.0)
+            yield env.timeout(3.0)
+            done.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert done == [5.0] and env.now == 5.0
+
 
 class TestTimeout:
     def test_timeout_advances_clock(self):
