@@ -14,6 +14,10 @@ per-block eviction) of the single-block methods, in the same order.  A
 per-file block index keeps :meth:`BlockCache.invalidate_file` and
 :meth:`BlockCache.resident` O(blocks-of-the-file) instead of an
 O(cache-size) scan.
+
+The caches of one level (every client cache, or every I/O-node cache)
+share one :class:`CacheStats`, so a level-wide roll-up, resident blocks
+included, is one object read instead of a walk over every cache.
 """
 
 from __future__ import annotations
@@ -24,15 +28,18 @@ __all__ = ["BlockCache", "CacheStats"]
 
 
 class CacheStats:
-    """Hit/miss/eviction counters."""
+    """Hit/miss/eviction counters, plus ``blocks``: the blocks currently
+    resident in the caches these counters serve (a level, not a history,
+    so :meth:`as_dict` leaves it out)."""
 
-    __slots__ = ("hits", "misses", "evictions", "prefetch_hits")
+    __slots__ = ("hits", "misses", "evictions", "prefetch_hits", "blocks")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.prefetch_hits = 0
+        self.blocks = 0
 
     @property
     def accesses(self) -> int:
@@ -41,19 +48,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Accumulate ``other``'s counters into this one; returns self.
-
-        The one aggregation routine shared by client- and server-side
-        cache roll-ups, so no counter (prefetch_hits included) can be
-        silently dropped by a hand-written copy.
-        """
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.prefetch_hits += other.prefetch_hits
-        return self
 
     def as_dict(self) -> dict:
         """The counters as a plain dict — the one snapshot form shared by
@@ -84,16 +78,24 @@ class BlockCache:
         Number of blocks held.
     policy:
         'lru' (evict least recent) or 'mru' (evict most recent).
+    stats:
+        Counters to update, shared with the other caches of the same
+        level; a cache given none owns a fresh :class:`CacheStats`.
     """
 
-    def __init__(self, capacity_blocks: int, policy: str = "lru"):
+    def __init__(
+        self,
+        capacity_blocks: int,
+        policy: str = "lru",
+        stats: CacheStats | None = None,
+    ):
         if capacity_blocks < 1:
             raise ValueError(f"capacity_blocks must be >= 1, got {capacity_blocks}")
         if policy not in ("lru", "mru"):
             raise ValueError(f"policy must be lru/mru, got {policy!r}")
         self.capacity = capacity_blocks
         self.policy = policy
-        self.stats = CacheStats()
+        self.stats = CacheStats() if stats is None else stats
         # key -> prefetched flag; order = recency (oldest first).
         self._entries: OrderedDict[tuple[int, int], bool] = OrderedDict()
         # file_id -> resident block indices (the per-file invalidation index).
@@ -129,6 +131,7 @@ class BlockCache:
         if len(self._entries) >= self.capacity:
             self._evict_one()
         self._entries[key] = prefetched
+        self.stats.blocks += 1
         blocks = self._by_file.get(file_id)
         if blocks is None:
             blocks = self._by_file[file_id] = set()
@@ -139,7 +142,9 @@ class BlockCache:
         (victim_file, victim_block), _ = self._entries.popitem(
             last=self.policy == "mru"
         )
-        self.stats.evictions += 1
+        stats = self.stats
+        stats.evictions += 1
+        stats.blocks -= 1
         blocks = self._by_file[victim_file]
         blocks.discard(victim_block)
         if not blocks:
@@ -152,6 +157,7 @@ class BlockCache:
         dropped = len(self._entries)
         self._entries.clear()
         self._by_file.clear()
+        self.stats.blocks -= dropped
         return dropped
 
     def invalidate(self, file_id: int, block: int | None = None) -> int:
@@ -160,6 +166,7 @@ class BlockCache:
             return self.invalidate_file(file_id)
         if self._entries.pop((file_id, block), None) is None:
             return 0
+        self.stats.blocks -= 1
         blocks = self._by_file[file_id]
         blocks.discard(block)
         if not blocks:
@@ -178,6 +185,7 @@ class BlockCache:
         entries = self._entries
         for b in blocks:
             del entries[(file_id, b)]
+        self.stats.blocks -= len(blocks)
         return len(blocks)
 
     def resident(self, file_id: int) -> list[int]:
@@ -245,6 +253,7 @@ class BlockCache:
         entries = self._entries
         by_file = self._by_file
         capacity = self.capacity
+        added = 0
         for b in range(first, last + 1):
             key = (file_id, b)
             if key in entries:
@@ -253,10 +262,12 @@ class BlockCache:
             if len(entries) >= capacity:
                 self._evict_one()
             entries[key] = prefetched
+            added += 1
             blocks = by_file.get(file_id)
             if blocks is None:
                 blocks = by_file[file_id] = set()
             blocks.add(b)
+        self.stats.blocks += added
 
     def invalidate_range(self, file_id: int, first: int, last: int) -> int:
         """Drop blocks ``first..last`` where resident; returns drop count."""
@@ -271,4 +282,5 @@ class BlockCache:
                 dropped += 1
         if not blocks:
             del self._by_file[file_id]
+        self.stats.blocks -= dropped
         return dropped

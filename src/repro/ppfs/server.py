@@ -48,6 +48,9 @@ class PPFS(PFS):
         super().__init__(machine, costs, track_content)
         self.policies = policies or PPFSPolicies()
         self._caches: dict[int, BlockCache] = {}
+        # One CacheStats per level, shared by that level's caches.
+        self._client_stats = CacheStats()
+        self._server_stats = CacheStats()
         pol = self.policies
         if pol.prefetch == "sequential":
             self.prefetcher = SequentialPrefetcher(pol.prefetch_depth)
@@ -69,7 +72,9 @@ class PPFS(PFS):
             return None
         cache = self._server_caches.get(ionode)
         if cache is None:
-            cache = BlockCache(self.policies.server_cache_blocks, "lru")
+            cache = BlockCache(
+                self.policies.server_cache_blocks, "lru", self._server_stats
+            )
             self._server_caches[ionode] = cache
             # A restarted I/O node comes back with cold memory: drop the
             # cache contents (stats survive) so post-restart reads go to
@@ -79,12 +84,9 @@ class PPFS(PFS):
             )
         return cache
 
-    def server_cache_stats(self):
-        """Aggregated hit/miss counts across the I/O-node caches."""
-        total = CacheStats()
-        for cache in self._server_caches.values():
-            total.merge(cache.stats)
-        return total
+    def server_cache_stats(self) -> CacheStats:
+        """The counters every I/O-node cache shares (live, not a copy)."""
+        return self._server_stats
 
     def _issue(self, f, chunk, is_write: bool, parent: int, on_done):
         """The chunk's issue step with the shared I/O-node caches in the path.
@@ -127,16 +129,16 @@ class PPFS(PFS):
             return None
         cache = self._caches.get(node)
         if cache is None:
-            cache = BlockCache(self.policies.cache_blocks, self.policies.cache_policy)
+            cache = BlockCache(
+                self.policies.cache_blocks, self.policies.cache_policy,
+                self._client_stats,
+            )
             self._caches[node] = cache
         return cache
 
-    def cache_stats(self):
-        """Aggregated hit/miss counts across all node caches."""
-        total = CacheStats()
-        for cache in self._caches.values():
-            total.merge(cache.stats)
-        return total
+    def cache_stats(self) -> CacheStats:
+        """The counters every client cache shares (live, not a copy)."""
+        return self._client_stats
 
     def fluid_ok(self, f) -> bool:
         """Decline closed-form pricing whenever a policy layer interposes.

@@ -3,9 +3,8 @@
 The registry is the *aggregate* side of telemetry: at finalize time
 the trace-derived counts and the components' own statistics (see
 :mod:`repro.telemetry.runtime`) are folded into named, labeled metrics
-that exporters understand.  Everything here is mergeable in the style of
-:meth:`repro.ppfs.cache.CacheStats.merge`, so per-run registries from a
-campaign can be combined into one fleet view:
+that exporters understand.  Everything here is mergeable, so per-run
+registries from a campaign can be combined into one fleet view:
 
 * ``Counter.merge`` adds values;
 * ``Histogram.merge`` adds bucket-wise;

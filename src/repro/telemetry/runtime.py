@@ -207,20 +207,8 @@ class Telemetry:
         push = row.append
         ppfs = self._ppfs
         if ppfs is not None:
-            blocks = hits = misses = 0
-            for cache in ppfs._caches.values():
-                blocks += len(cache)
-                stats = cache.stats
-                hits += stats.hits
-                misses += stats.misses
-            row += [blocks, hits / (hits + misses) if hits + misses else 0.0]
-            blocks = hits = misses = 0
-            for cache in ppfs._server_caches.values():
-                blocks += len(cache)
-                stats = cache.stats
-                hits += stats.hits
-                misses += stats.misses
-            row += [blocks, hits / (hits + misses) if hits + misses else 0.0]
+            for stats in (ppfs.cache_stats(), ppfs.server_cache_stats()):
+                row += [stats.blocks, stats.hit_rate]
             wb = ppfs.writeback
             if wb is not None:
                 row += [wb.backlog_bytes(), wb.inflight_batches]

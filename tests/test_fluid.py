@@ -79,7 +79,9 @@ class TestMakespanAgreement:
             assert len(fl.events) == len(ev.events)
 
     @pytest.mark.parametrize("app", FLUID_APPS)
-    def test_fluid_actually_engages(self, app):
+    def test_fluid_actually_engages(self, app, monkeypatch):
+        # Fluid declines non-eager I/O nodes, so it needs the batched path.
+        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
         result = _run(app, fidelity="fluid")
         servicer = result.fs.fluid
         assert servicer is not None
@@ -90,10 +92,11 @@ class TestMakespanAgreement:
             assert phase["parties"] >= 1
 
     @pytest.mark.parametrize("app", FLUID_APPS)
-    def test_ionode_statistics_match_event_fidelity(self, app):
+    def test_ionode_statistics_match_event_fidelity(self, app, monkeypatch):
         """The closed form serves the same requests, request for request:
         per-I/O-node counts, bytes and size histograms equal the
         discrete run's (only the timing is approximate)."""
+        monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
         event = _run(app)
         fluid = _run(app, fidelity="fluid")
         assert fluid.fs.fluid.phases_solved > 0

@@ -303,18 +303,71 @@ class TestBlockCacheRangeOps:
                 ref.stats.prefetch_hits)
 
 
-class TestCacheStatsMerge:
-    def test_merge_accumulates_every_counter(self):
+class TestRunningTotals:
+    """The running totals the telemetry sampler reads each tick equal a
+    brute-force rescan after any operation sequence."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 500), st.integers(0, 60)),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_extent_total_matches_rescan(self, ops):
+        es = ExtentSet()
+        for op, offset, n in ops:
+            if op <= 3:
+                es.add(offset, n)
+            elif op == 4:
+                es.pop_file_runs(n)
+            else:
+                es.pop_all()
+            assert es.total_bytes == sum(e - s for s, e in es.extents())
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 7), st.integers(0, 2), st.integers(0, 2),
+                st.integers(0, 8), st.integers(0, 3),
+            ),
+            max_size=80,
+        ),
+        st.lists(st.integers(1, 6), min_size=3, max_size=3),
+        st.sampled_from(["lru", "mru"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shared_stats_match_the_caches(self, ops, capacities, policy):
+        """Caches sharing one CacheStats: ``blocks`` is the sum of their
+        sizes, and every counter equals the sum over identical caches
+        that each own their stats."""
         from repro.ppfs import CacheStats
 
-        a, b = CacheStats(), CacheStats()
-        a.hits, a.misses, a.evictions, a.prefetch_hits = 1, 2, 3, 4
-        b.hits, b.misses, b.evictions, b.prefetch_hits = 10, 20, 30, 40
-        out = a.merge(b)
-        assert out is a
-        assert (a.hits, a.misses, a.evictions, a.prefetch_hits) == (11, 22, 33, 44)
-        # b untouched
-        assert (b.hits, b.misses, b.evictions, b.prefetch_hits) == (10, 20, 30, 40)
+        shared = CacheStats()
+        caches = [BlockCache(c, policy, shared) for c in capacities]
+        alone = [BlockCache(c, policy) for c in capacities]
+        for op, idx, fid, first, span in ops:
+            last = first + span
+            for cache in (caches[idx], alone[idx]):
+                if op == 0:
+                    cache.insert(fid, first, prefetched=bool(span % 2))
+                elif op == 1:
+                    cache.insert_range(fid, first, last, prefetched=bool(span % 2))
+                elif op == 2:
+                    cache.lookup_range(fid, first, last)
+                elif op == 3:
+                    cache.missing_in_range(fid, first, last)
+                elif op == 4:
+                    cache.invalidate(fid, first)
+                elif op == 5:
+                    cache.invalidate(fid)
+                elif op == 6:
+                    cache.invalidate_range(fid, first, last)
+                else:
+                    cache.clear()
+            assert shared.blocks == sum(len(c) for c in caches)
+        for name, value in shared.as_dict().items():
+            assert value == sum(getattr(c.stats, name) for c in alone), name
 
 
 class TestExtentSetMaxRun:

@@ -98,20 +98,19 @@ class TestServerCache:
         assert policies.server_cache_blocks > 0
 
     def test_stats_aggregate_every_counter(self):
-        """server_cache_stats() must not drop counters when rolling up
+        """server_cache_stats() must not drop counters across the
         per-I/O-node caches (prefetch_hits was once silently lost)."""
-        from repro.ppfs import BlockCache
-
-        _, fs = make(PPFSPolicies(server_cache_blocks=64))
-        a = BlockCache(4)
+        _, fs = make(PPFSPolicies(server_cache_blocks=2))
+        a, b = fs.server_cache(0), fs.server_cache(1)
         a.insert(1, 0, prefetched=True)
         a.lookup(1, 0)  # hit + prefetch_hit
-        b = BlockCache(4)
         b.lookup(1, 5)  # miss
-        fs._server_caches[0] = a
-        fs._server_caches[1] = b
+        b.insert_range(1, 5, 7)  # three blocks into two slots: one eviction
         total = fs.server_cache_stats()
-        assert (total.hits, total.misses, total.prefetch_hits) == (1, 1, 1)
+        assert total.as_dict() == {
+            "hits": 1, "misses": 1, "evictions": 1, "prefetch_hits": 1,
+        }
+        assert total.blocks == len(a) + len(b) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
